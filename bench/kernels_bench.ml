@@ -6,13 +6,20 @@
    spread over the domain pool exactly as [Sim.launch] spreads them).
 
    The flat timings INCLUDE staging the operands into limb planes and
-   unstaging the result, i.e. they measure what the dispatcher actually
-   pays; the inner dimension amortizes that overhead.
+   unstaging the result, i.e. they measure what a one-shot product on
+   boxed matrices pays; the inner dimension amortizes that overhead.
+
+   Beside the microkernel, one whole executed [Blocked_qr.run] per
+   precision at the benchmark's square shapes (2d n=128/tile 32, 4d
+   n=64/16, 8d n=32/8), flat execution on against off: the device
+   state stages A once and unstages Q and R once, so these rows time
+   every panel and update kernel, not just the products.
 
      dune exec bench/main.exe -- kernels        # full matrix, writes
                                                 # BENCH_kernels.json
-     dune exec bench/main.exe -- kernels-smoke  # one dd comparison,
-                                                # exits 1 on regression
+     dune exec bench/main.exe -- kernels-smoke  # dd/od matmul + the QR
+                                                # rows, exits 1 on
+                                                # regression
 *)
 
 open Mdlinalg
@@ -96,6 +103,61 @@ module Bench (K : Scalar.S) = struct
     (g, f)
 end
 
+(* One whole executed QR, generic (flat execution off) then flat, on
+   the same matrix; the two factorizations must agree limb for limb. *)
+type qr_row = {
+  qprec : string;
+  qn : int;
+  qtile : int;
+  qgeneric_ms : float;
+  qflat_ms : float;
+}
+
+module Qr_bench (K : Scalar.S) = struct
+  module M = Mat.Make (K)
+  module Rand = Randmat.Make (K)
+  module Qr = Lsq_core.Blocked_qr.Make (K)
+
+  let run ~prec ~n ~tile =
+    let a = Rand.matrix (Dompool.Prng.create (7919 + n)) n n in
+    let timed on =
+      Flat_kernels.enabled := on;
+      let t0 = Unix.gettimeofday () in
+      let r = Qr.run ~device:Gpusim.Device.v100 ~a ~tile () in
+      let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+      Flat_kernels.enabled := true;
+      (r, ms)
+    in
+    let g, gms = timed false in
+    let f, fms = timed true in
+    let same (x : M.t) (y : M.t) =
+      Array.for_all2
+        (fun u v ->
+          Array.for_all2
+            (fun p q ->
+              Int64.equal (Int64.bits_of_float p) (Int64.bits_of_float q))
+            (K.to_planes u) (K.to_planes v))
+        x.M.a y.M.a
+    in
+    if not (same g.Qr.q f.Qr.q && same g.Qr.r f.Qr.r) then begin
+      Printf.eprintf "kernels bench: %s qr n=%d flat/generic Q or R differ\n"
+        prec n;
+      exit 1
+    end;
+    { qprec = prec; qn = n; qtile = tile; qgeneric_ms = gms; qflat_ms = fms }
+end
+
+module Qdd = Qr_bench (Scalar.Dd)
+module Qqd = Qr_bench (Scalar.Qd)
+module Qod = Qr_bench (Scalar.Od)
+
+let qr_rows () =
+  [
+    Qdd.run ~prec:"2d" ~n:128 ~tile:32;
+    Qqd.run ~prec:"4d" ~n:64 ~tile:16;
+    Qod.run ~prec:"8d" ~n:32 ~tile:8;
+  ]
+
 module Bdd = Bench (Scalar.Dd)
 module Bqd = Bench (Scalar.Qd)
 module Bod = Bench (Scalar.Od)
@@ -150,7 +212,18 @@ let report r =
   pf "%-6s %6d %14.1f %12.1f %9.2fx\n%!" r.prec r.n r.generic_ms r.flat_ms
     (r.generic_ms /. r.flat_ms)
 
-let json_of_rows rows =
+let report_qr r =
+  pf "%-6s %6s %14.1f %12.1f %9.2fx\n%!" r.qprec
+    (Printf.sprintf "%d/%d" r.qn r.qtile)
+    r.qgeneric_ms r.qflat_ms
+    (r.qgeneric_ms /. r.qflat_ms)
+
+let qr_header () =
+  pf "\nWhole executed QR (Blocked_qr.run, n/tile), flat execution off vs \
+      on:\n";
+  pf "%-6s %6s %14s %12s %10s\n" "prec" "n" "generic ms" "flat ms" "speedup"
+
+let json_of_rows rows qrs =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n";
   Buffer.add_string b "  \"bench\": \"kernels\",\n";
@@ -188,12 +261,25 @@ let json_of_rows rows =
            (r.generic_ms /. r.flat_ms)
            (if i = last then "" else ",")))
     rows;
+  Buffer.add_string b "  ],\n";
+  Buffer.add_string b "  \"qr\": [\n";
+  let qlast = List.length qrs - 1 in
+  List.iteri
+    (fun i r ->
+      Buffer.add_string b
+        (Printf.sprintf
+           "    {\"prec\": %S, \"n\": %d, \"tile\": %d, \"generic_ms\": \
+            %.3f, \"flat_ms\": %.3f, \"speedup\": %.3f}%s\n"
+           r.qprec r.qn r.qtile r.qgeneric_ms r.qflat_ms
+           (r.qgeneric_ms /. r.qflat_ms)
+           (if i = qlast then "" else ",")))
+    qrs;
   Buffer.add_string b "  ]\n}\n";
   Buffer.contents b
 
 (* Full matrix: dd and qd at n in {256, 512, 1024}, od at reduced sizes
-   (a boxed octo double mul costs ~40x a quad double one — the 79-slot
-   product buffer plus its magnitude sort dominate — so smaller n keeps
+   (a boxed octo double mul costs 10-20x a quad double one — the 79-slot
+   product buffer and its distillation dominate — so smaller n keeps
    the row affordable while the fixed inner dimension still amortizes
    staging the same way); emits BENCH_kernels.json in the working
    directory. *)
@@ -232,9 +318,12 @@ let run () =
   in
   let rows = dd_rows @ qd_rows @ od_rows in
   report_tiles (tiles ());
+  qr_header ();
+  let qrs = qr_rows () in
+  List.iter report_qr qrs;
   let path = "BENCH_kernels.json" in
   let oc = open_out path in
-  output_string oc (json_of_rows rows);
+  output_string oc (json_of_rows rows qrs);
   close_out oc;
   pf "  [json written to %s]\n" path
 
@@ -245,7 +334,10 @@ let run () =
    even at this small size, so dipping under it means the engine
    regressed to replay-level performance.  The od case doubles as a
    standing bit-identity check on the m = 8 engine ([Bench.matmul]
-   verifies limb for limb while it times). *)
+   verifies limb for limb while it times).  The whole-QR rows fail the
+   run on any limb difference between the flat and generic Q/R, or when
+   the flat factorization is not faster — a regression anywhere in the
+   panel path, not only in the products. *)
 let od_smoke_floor = 3.0
 
 let smoke () =
@@ -272,4 +364,17 @@ let smoke () =
   let g, f = Bdd.matmul ~n:192 in
   gate { prec = "2d"; n = 192; generic_ms = g; flat_ms = f };
   let g, f = Bod.matmul ~n:32 in
-  gate ~floor:od_smoke_floor { prec = "8d"; n = 32; generic_ms = g; flat_ms = f }
+  gate ~floor:od_smoke_floor
+    { prec = "8d"; n = 32; generic_ms = g; flat_ms = f };
+  qr_header ();
+  List.iter
+    (fun r ->
+      report_qr r;
+      if r.qflat_ms >= r.qgeneric_ms then begin
+        Printf.eprintf
+          "kernels-smoke: %s whole QR flat (%.1f ms) not faster than generic \
+           (%.1f ms)\n"
+          r.qprec r.qflat_ms r.qgeneric_ms;
+        exit 1
+      end)
+    (qr_rows ())

@@ -34,11 +34,14 @@
    lanes (the untiled loop walked B with column stride) and reuses each
    A element NR times and each B panel across every row of the block.
 
-   Staging an operand into planes costs O(elements) conversions while a
-   matrix product performs O(elements * inner) operations on it, so the
-   staging overhead is amortized by the inner dimension; kernels that do
-   O(1) work per element (the elementwise additions) are left on the
-   generic path, where staging would triple their cost.
+   The solvers stage once per factorization or solve, as the paper's
+   device does: the blocked QR state ([Qr] below) stages A into limb
+   planes at the modeled host -> device transfer, runs every panel,
+   product and elementwise-addition kernel on one plane workspace, and
+   unstages Q and R once at the device -> host transfer; the back
+   substitution state ([Bs]) does the same for its matrix and vectors.
+   The one-shot [stage]/[unstage] helpers serve the iterative engines
+   and the tests.
 
    Block-level entry points take the same [blk] argument as the generic
    [Sim.launch] bodies and write the same disjoint index ranges, so they
@@ -143,8 +146,8 @@ module Make (K : Scalar.S) = struct
 
   (* Read element [i] of a staged vector back as a boxed scalar (probe
      reads for verification; the hot paths never box). *)
-  let read_el (t : planes) i =
-    K.of_planes (Array.init K.width (fun pl -> Nd_flat.get t.p pl i))
+  let read_el (p : Nd_flat.planes) i =
+    K.of_planes (Array.init K.width (fun pl -> Nd_flat.get p pl i))
 
   (* ---- The register-loading matrix product, one [Sim.launch] block:
      output elements [blk*threads, (blk+1)*threads), each a dot product
@@ -211,42 +214,6 @@ module Make (K : Scalar.S) = struct
         done
       end
     end
-
-  (* The solver-facing matrix product: one entry point, both paths.  The
-     caller computes the modeled device cost (identical on both paths —
-     only the host execution differs) and passes the launch as a
-     closure; this function decides the path.  The flat path stages both
-     operands into limb planes once (O(total) conversions against
-     O(total * inner) kernel operations) and runs the allocation-free
-     plane kernels, limb for limb identical to the generic loop. *)
-  let matmul ~execute ~threads ~rows_o ~cols_o ~inner ~geta ~getb ~store
-      ~launch =
-    if execute && available () then begin
-      let a = stage ~rows:rows_o ~cols:inner ~get:geta in
-      let b = stage ~rows:inner ~cols:cols_o ~get:getb in
-      let c = alloc ~rows:rows_o ~cols:cols_o in
-      launch (fun blk -> matmul_block ~threads a b c blk);
-      unstage c ~store
-    end
-    else
-      launch (fun blk ->
-          let total = rows_o * cols_o in
-          let lo = blk * threads in
-          let hi = min total (lo + threads) in
-          (* Running (row, col) pair instead of a div/mod per element. *)
-          let i = ref (lo / cols_o) and j = ref (lo mod cols_o) in
-          for _idx = lo to hi - 1 do
-            let s = ref K.zero in
-            for k = 0 to inner - 1 do
-              s := K.add !s (K.mul (geta !i k) (getb k !j))
-            done;
-            store !i !j !s;
-            incr j;
-            if !j = cols_o then begin
-              j := 0;
-              incr i
-            end
-          done)
 
   (* ---- Tiled back substitution, stage 2.  [vp] is the full dim-by-dim
      matrix with inverted diagonal tiles, [bdp] the evolving right-hand
@@ -395,8 +362,9 @@ module Make (K : Scalar.S) = struct
       done
     done
 
-  (* dst[i] := dst[i] + src[i], elementwise over whole planes (kept on
-     the generic path in the solvers; here for tests and bench). *)
+  (* dst[i] := dst[i] + src[i], elementwise over whole planes — the
+     operation sequence of the QR's "Q + QWY" / "R + YWTC" kernels
+     ([Qr.add_block]), over a whole plane instead of a window. *)
   let ewadd (dst : planes) (src : planes) =
     let { Nd_flat.make_ctx; load; add; store; _ } = the_plan () in
     let ctx = make_ctx () in
@@ -485,10 +453,10 @@ module Make (K : Scalar.S) = struct
 
     (* Probe reads for the ABFT tile verdict. *)
     let x_at t i =
-      match t.repr with Flat { xp; _ } -> read_el xp i | Boxed -> t.x.(i)
+      match t.repr with Flat { xp; _ } -> read_el xp.p i | Boxed -> t.x.(i)
 
     let b_at t i =
-      match t.repr with Flat { bdp; _ } -> read_el bdp i | Boxed -> t.bd.(i)
+      match t.repr with Flat { bdp; _ } -> read_el bdp.p i | Boxed -> t.bd.(i)
 
     (* On the flat path the raw limb expansion of x[i] must still satisfy
        the validator (the renorm invariant); the boxed representation
@@ -595,5 +563,729 @@ module Make (K : Scalar.S) = struct
       match t.repr with
       | Flat { xp; _ } -> unstage_vec xp ~store:(fun i s -> t.x.(i) <- s)
       | Boxed -> ()
+  end
+
+  (* ---- The blocked Householder QR device state, both paths behind one
+     type, after the [Bs] precedent: [Blocked_qr.factor_gen] is written
+     once against this module.
+
+     The flat arm is the paper's device residency: A is staged into the
+     R limb planes ONCE (and Q starts as identity planes) at the modeled
+     host -> device transfer, every kernel of the factorization — the
+     four panel kernels, the three matrix products, the two elementwise
+     additions and the thin path's application of Q^H to b — runs on
+     planes of one workspace allocated per factorization, and Q and R
+     are unstaged ONCE at the device -> host transfer.  Operands a
+     matrix product reads in another shape (the transposed W, the Q and
+     C sub-blocks, the transposed YWT) are formed by plain limb copies
+     inside the workspace.  Only the O(1)-per-column scalar work of
+     "beta, v" (sqrt, the division, [unit_phase]) stays boxed.
+
+     The boxed arm is the generic [K.t] loop nest (complex, instrumented
+     and plain double scalars, or flat execution switched off), and the
+     plan arm touches nothing: cost accounting runs no kernel body, so
+     plan mode allocates no matrix, workspace or per-column buffer.
+
+     Per element both executing arms perform the same operation sequence
+     ([clear]/[load], ascending multiply-accumulates, the same argument
+     order), so Q, R and Q^H b are limb for limb identical.  The modeled
+     launch costs are computed by the caller and shared by every arm. *)
+  module Qr = struct
+    (* Workspace planes, sized for the first (largest) panel; a panel of
+       [rows] rows views prefixes of them with its own row pitch. *)
+    type flat = {
+      rp : Nd_flat.planes; (* R, mrows x ncols *)
+      qp : Nd_flat.planes; (* Q, mrows x mrows (empty on the thin path) *)
+      bp : Nd_flat.planes; (* the thin path's right-hand side *)
+      yp : Nd_flat.planes; (* Y, rows x tile *)
+      wp : Nd_flat.planes; (* W, rows x tile *)
+      wtp : Nd_flat.planes; (* W^T, tile x rows *)
+      ywtp : Nd_flat.planes; (* YWT, rows x rows *)
+      ywttp : Nd_flat.planes; (* YWT^T, rows x rows *)
+      qsubp : Nd_flat.planes; (* Q[:, c0:], mrows x rows *)
+      qwyp : Nd_flat.planes; (* QWY, mrows x rows *)
+      csubp : Nd_flat.planes; (* C = R[c0:, c1:], rows x trail *)
+      ywtcp : Nd_flat.planes; (* YWTC, rows x trail *)
+      vp : Nd_flat.planes; (* the Householder vector, len *)
+      wrowp : Nd_flat.planes; (* beta v^H R, tile - l *)
+      up : Nd_flat.planes; (* Y^H v_l, then W^H b *)
+      betap : Nd_flat.planes; (* beta per panel column *)
+      nbetap : Nd_flat.planes; (* -beta per panel column *)
+      tmpp : Nd_flat.planes; (* per-row scratch *)
+      mutable saved : Nd_flat.planes array option; (* R, Q, b snapshot *)
+    }
+
+    type boxed = {
+      r : K.t array;
+      q : K.t array; (* empty on the thin path *)
+      b : K.t array;
+      v : K.t array;
+      wrow : K.t array;
+      u : K.t array;
+      mutable y : K.t array;
+      mutable w : K.t array;
+      mutable ywt : K.t array;
+      mutable qwy : K.t array;
+      mutable ywtc : K.t array;
+      mutable snap : (K.t array * K.t array * K.t array) option;
+    }
+
+    type repr = Flat of flat | Boxed of boxed | Plan
+
+    type t = {
+      mrows : int;
+      ncols : int;
+      tile : int;
+      thin : bool; (* Q not accumulated: the economy path *)
+      rhs : K.t array option; (* the caller's b, overwritten with Q^H b *)
+      betas : K.R.t array;
+      mutable c0 : int; (* the current panel's first column... *)
+      mutable rows : int; (* ...and its row count, mrows - c0 *)
+      repr : repr;
+    }
+
+    let create ~execute ~accumulate_q ~mrows ~ncols ~tile ~a ~rhs =
+      let thin = not accumulate_q in
+      let repr =
+        match a with
+        | Some (a : K.t array) when execute ->
+            if available () then begin
+              let mk n = Nd_flat.make_planes ~limbs:K.width n in
+              let qn = if thin then 0 else mrows * mrows in
+              let trail = mrows * max 0 (ncols - tile) in
+              let rp =
+                (stage ~rows:mrows ~cols:ncols ~get:(fun i j ->
+                     a.((i * ncols) + j)))
+                  .p
+              in
+              let qp =
+                if thin then mk 0
+                else
+                  (stage ~rows:mrows ~cols:mrows ~get:(fun i j ->
+                       if i = j then K.one else K.zero))
+                    .p
+              in
+              let bp =
+                match rhs with
+                | Some (b : K.t array) ->
+                    (stage_vec ~n:(Array.length b) ~get:(Array.get b)).p
+                | None -> mk 0
+              in
+              Flat
+                {
+                  rp;
+                  qp;
+                  bp;
+                  yp = mk (mrows * tile);
+                  wp = mk (mrows * tile);
+                  wtp = mk (mrows * tile);
+                  ywtp = mk (mrows * mrows);
+                  ywttp = mk qn;
+                  qsubp = mk qn;
+                  qwyp = mk qn;
+                  csubp = mk trail;
+                  ywtcp = mk trail;
+                  vp = mk mrows;
+                  wrowp = mk tile;
+                  up = mk tile;
+                  betap = mk tile;
+                  nbetap = mk tile;
+                  tmpp = mk mrows;
+                  saved = None;
+                }
+            end
+            else
+              Boxed
+                {
+                  r = Array.copy a;
+                  q =
+                    (if thin then [||]
+                     else
+                       Array.init (mrows * mrows) (fun k ->
+                           if k / mrows = k mod mrows then K.one else K.zero));
+                  b = (match rhs with Some b -> b | None -> [||]);
+                  v = Array.make mrows K.zero;
+                  wrow = Array.make tile K.zero;
+                  u = Array.make tile K.zero;
+                  y = [||];
+                  w = [||];
+                  ywt = [||];
+                  qwy = [||];
+                  ywtc = [||];
+                  snap = None;
+                }
+        | _ -> Plan
+      in
+      let betas =
+        match repr with Plan -> [||] | _ -> Array.make tile K.R.zero
+      in
+      { mrows; ncols; tile; thin; rhs; betas; c0 = 0; rows = mrows; repr }
+
+    (* Limb writes and copies of one element (the O(1)-per-column scalar
+       work of "beta, v" and the operand shapes of the products). *)
+    let write (p : Nd_flat.planes) i x =
+      let limbs = K.to_planes x in
+      for pl = 0 to K.width - 1 do
+        Nd_flat.set p pl i limbs.(pl)
+      done
+
+    let copy_el ~src si ~dst di =
+      for pl = 0 to K.width - 1 do
+        Nd_flat.set dst pl di (Nd_flat.get src pl si)
+      done
+
+    (* Start panel [c0]: fresh zero Y and W (rows above the diagonal of
+       Y stay zero — the trapezoidal shape). *)
+    let begin_panel t ~c0 =
+      t.c0 <- c0;
+      t.rows <- t.mrows - c0;
+      let n = t.rows * t.tile in
+      match t.repr with
+      | Flat f ->
+          Array.iter
+            (fun pl -> Bigarray.Array1.(fill (sub pl 0 n) 0.0))
+            (Array.append f.yp f.wp)
+      | Boxed bx ->
+          bx.y <- Array.make n K.zero;
+          bx.w <- Array.make n K.zero
+      | Plan -> ()
+
+    (* ---- Stage 1: the panel kernels, column [c = c0 + l]. ---- *)
+
+    (* "beta, v" (one block): v := R[c:, c], then the reflector
+       v(0) += phase * ||v||, beta = 2 / v^H v. *)
+    let beta_v t ~l ~c =
+      let len = t.mrows - c in
+      match t.repr with
+      | Flat f ->
+          let { Nd_flat.make_ctx; clear; mul_add; store; _ } = the_plan () in
+          for i = 0 to len - 1 do
+            copy_el ~src:f.rp (((c + i) * t.ncols) + c) ~dst:f.vp i
+          done;
+          (* ||v||^2 as K.norm2 x = x * x accumulations (real scalars). *)
+          let ctx = make_ctx () in
+          let norm2 () =
+            clear ctx;
+            for i = 0 to len - 1 do
+              mul_add ctx f.vp i f.vp i
+            done;
+            store ctx f.tmpp 0;
+            K.re (read_el f.tmpp 0)
+          in
+          let sigma = K.R.sqrt (norm2 ()) in
+          if K.R.is_zero sigma then t.betas.(l) <- K.R.zero
+          else begin
+            let v0 = read_el f.vp 0 in
+            write f.vp 0 (K.add v0 (K.scale (K.unit_phase v0) sigma));
+            t.betas.(l) <- K.R.div (K.R.of_int 2) (norm2 ())
+          end;
+          write f.betap l (K.of_real t.betas.(l));
+          write f.nbetap l (K.of_real (K.R.neg t.betas.(l)))
+      | Boxed bx ->
+          let v = bx.v in
+          for i = 0 to len - 1 do
+            v.(i) <- bx.r.(((c + i) * t.ncols) + c)
+          done;
+          let norm2 () =
+            let s = ref K.R.zero in
+            for i = 0 to len - 1 do
+              s := K.R.add !s (K.norm2 v.(i))
+            done;
+            !s
+          in
+          let sigma = K.R.sqrt (norm2 ()) in
+          if K.R.is_zero sigma then t.betas.(l) <- K.R.zero
+          else begin
+            let phase = K.unit_phase v.(0) in
+            v.(0) <- K.add v.(0) (K.scale phase sigma);
+            t.betas.(l) <- K.R.div (K.R.of_int 2) (norm2 ())
+          end
+      | Plan -> ()
+
+    (* Save v into column l of the trapezoidal Y (host side, not a
+       kernel). *)
+    let save_v t ~l ~c =
+      let len = t.mrows - c and r0 = c - t.c0 in
+      match t.repr with
+      | Flat f ->
+          for i = 0 to len - 1 do
+            copy_el ~src:f.vp i ~dst:f.yp (((r0 + i) * t.tile) + l)
+          done
+      | Boxed bx ->
+          for i = 0 to len - 1 do
+            bx.y.(((r0 + i) * t.tile) + l) <- bx.v.(i)
+          done
+      | Plan -> ()
+
+    (* "beta*R^T*v", block [blk] < tile - l:
+       wrow(blk) = beta v^H R[c:, c + blk]. *)
+    let rtv t ~l ~c blk =
+      let len = t.mrows - c and j = c + blk in
+      if blk < t.tile - l then
+        match t.repr with
+        | Flat f ->
+            let { Nd_flat.make_ctx; clear; mul_add; mul_set; store; _ } =
+              the_plan ()
+            in
+            let ctx = make_ctx () in
+            clear ctx;
+            for i = 0 to len - 1 do
+              mul_add ctx f.vp i f.rp (((c + i) * t.ncols) + j)
+            done;
+            store ctx f.wrowp blk;
+            mul_set ctx f.wrowp blk f.betap l;
+            store ctx f.wrowp blk
+        | Boxed bx ->
+            let s = ref K.zero in
+            for i = 0 to len - 1 do
+              s :=
+                K.add !s
+                  (K.mul (K.conj bx.v.(i)) bx.r.(((c + i) * t.ncols) + j))
+            done;
+            bx.wrow.(blk) <- K.scale !s t.betas.(l)
+        | Plan -> ()
+
+    (* "update R", block [blk]: R[c:, c:c1] -= v wrow, [tile] elements. *)
+    let update_r t ~l ~c blk =
+      let len = t.mrows - c and w_ = t.tile - l in
+      let lo = blk * t.tile in
+      let hi = min (len * w_) (lo + t.tile) in
+      match t.repr with
+      | Flat f ->
+          let { Nd_flat.make_ctx; mul_set; sub_from; _ } = the_plan () in
+          let ctx = make_ctx () in
+          for idx = lo to hi - 1 do
+            let i = idx / w_ and jj = idx mod w_ in
+            mul_set ctx f.vp i f.wrowp jj;
+            sub_from ctx f.rp (((c + i) * t.ncols) + c + jj)
+          done
+      | Boxed bx ->
+          for idx = lo to hi - 1 do
+            let i = idx / w_ and jj = idx mod w_ in
+            let k = ((c + i) * t.ncols) + c + jj in
+            bx.r.(k) <- K.sub bx.r.(k) (K.mul bx.v.(i) bx.wrow.(jj))
+          done
+      | Plan -> ()
+
+    (* ---- Stage 2: "compute W", column l of the panel. ---- *)
+
+    (* u(blk) = Y[:, blk]^H Y[:, l], block [blk] < l. *)
+    let w_u t ~l blk =
+      let tile = t.tile in
+      if blk < l then
+        match t.repr with
+        | Flat f ->
+            let { Nd_flat.make_ctx; clear; mul_add; store; _ } = the_plan () in
+            let ctx = make_ctx () in
+            clear ctx;
+            for i = 0 to t.rows - 1 do
+              mul_add ctx f.yp ((i * tile) + blk) f.yp ((i * tile) + l)
+            done;
+            store ctx f.up blk
+        | Boxed bx ->
+            let s = ref K.zero in
+            for i = 0 to t.rows - 1 do
+              s :=
+                K.add !s
+                  (K.mul (K.conj bx.y.((i * tile) + blk)) bx.y.((i * tile) + l))
+            done;
+            bx.u.(blk) <- !s
+        | Plan -> ()
+
+    (* W[i, l] = -beta (Y[i, l] + W[i, :l] u), rows of block [blk]. *)
+    let w_z t ~l blk =
+      let tile = t.tile in
+      let lo = blk * tile in
+      let hi = min t.rows (lo + tile) in
+      match t.repr with
+      | Flat f ->
+          let { Nd_flat.make_ctx; load; mul_add; mul_set; store; _ } =
+            the_plan ()
+          in
+          let ctx = make_ctx () in
+          for i = lo to hi - 1 do
+            let il = (i * tile) + l in
+            load ctx f.yp il;
+            for j = 0 to l - 1 do
+              mul_add ctx f.wp ((i * tile) + j) f.up j
+            done;
+            store ctx f.wp il;
+            mul_set ctx f.wp il f.nbetap l;
+            store ctx f.wp il
+          done
+      | Boxed bx ->
+          let nbeta = K.R.neg t.betas.(l) in
+          for i = lo to hi - 1 do
+            let s = ref bx.y.((i * tile) + l) in
+            for j = 0 to l - 1 do
+              s := K.add !s (K.mul bx.w.((i * tile) + j) bx.u.(j))
+            done;
+            bx.w.((i * tile) + l) <- K.scale !s nbeta
+          done
+      | Plan -> ()
+
+    (* ---- The register-loading matrix products.  [launch] runs a body
+       over the launch grid; the flat arm first forms the operand shapes
+       the microkernel reads by limb copies inside the workspace. ---- *)
+
+    let boxed_matmul ~threads ~rows_o ~cols_o ~inner ~geta ~getb ~store blk =
+      let total = rows_o * cols_o in
+      let lo = blk * threads in
+      let hi = min total (lo + threads) in
+      (* Running (row, col) pair instead of a div/mod per element. *)
+      let i = ref (lo / cols_o) and j = ref (lo mod cols_o) in
+      for _idx = lo to hi - 1 do
+        let s = ref K.zero in
+        for k = 0 to inner - 1 do
+          s := K.add !s (K.mul (geta !i k) (getb k !j))
+        done;
+        store !i !j !s;
+        incr j;
+        if !j = cols_o then begin
+          j := 0;
+          incr i
+        end
+      done
+
+    let view rows cols p : planes = { rows; cols; p }
+
+    (* "Y*W^T": YWT = Y W^H, rows x rows. *)
+    let ywt t launch =
+      let rows = t.rows and tile = t.tile in
+      match t.repr with
+      | Flat f ->
+          for k = 0 to tile - 1 do
+            for j = 0 to rows - 1 do
+              copy_el ~src:f.wp ((j * tile) + k) ~dst:f.wtp ((k * rows) + j)
+            done
+          done;
+          let a = view rows tile f.yp and b = view tile rows f.wtp in
+          let c = view rows rows f.ywtp in
+          launch (matmul_block ~threads:tile a b c)
+      | Boxed bx ->
+          let y = bx.y and w = bx.w in
+          let ywt = Array.make (rows * rows) K.zero in
+          bx.ywt <- ywt;
+          launch
+            (boxed_matmul ~threads:tile ~rows_o:rows ~cols_o:rows ~inner:tile
+               ~geta:(fun i k -> y.((i * tile) + k))
+               ~getb:(fun k j -> K.conj w.((j * tile) + k))
+               ~store:(fun i j s -> ywt.((i * rows) + j) <- s))
+      | Plan -> launch ignore
+
+    (* "Q*WY^T": QWY = Q[:, c0:] (YWT)^H, mrows x rows. *)
+    let qwy t launch =
+      let m = t.mrows and rows = t.rows and c0 = t.c0 in
+      match t.repr with
+      | Flat f ->
+          for i = 0 to m - 1 do
+            for k = 0 to rows - 1 do
+              copy_el ~src:f.qp ((i * m) + c0 + k) ~dst:f.qsubp ((i * rows) + k)
+            done
+          done;
+          for k = 0 to rows - 1 do
+            for j = 0 to rows - 1 do
+              copy_el ~src:f.ywtp ((j * rows) + k) ~dst:f.ywttp ((k * rows) + j)
+            done
+          done;
+          let a = view m rows f.qsubp and b = view rows rows f.ywttp in
+          launch (matmul_block ~threads:t.tile a b (view m rows f.qwyp))
+      | Boxed bx ->
+          let q = bx.q and ywt = bx.ywt in
+          let qwy = Array.make (m * rows) K.zero in
+          bx.qwy <- qwy;
+          launch
+            (boxed_matmul ~threads:t.tile ~rows_o:m ~cols_o:rows ~inner:rows
+               ~geta:(fun i k -> q.((i * m) + c0 + k))
+               ~getb:(fun k j -> K.conj ywt.((j * rows) + k))
+               ~store:(fun i j s -> qwy.((i * rows) + j) <- s))
+      | Plan -> launch ignore
+
+    (* "YWT*C": YWTC = YWT R[c0:, c1:], rows x trail. *)
+    let ywtc t launch =
+      let rows = t.rows and n = t.ncols and c0 = t.c0 in
+      let c1 = c0 + t.tile in
+      let trail = n - c1 in
+      match t.repr with
+      | Flat f ->
+          for k = 0 to rows - 1 do
+            for j = 0 to trail - 1 do
+              copy_el ~src:f.rp (((c0 + k) * n) + c1 + j)
+                ~dst:f.csubp ((k * trail) + j)
+            done
+          done;
+          let a = view rows rows f.ywtp and b = view rows trail f.csubp in
+          launch (matmul_block ~threads:t.tile a b (view rows trail f.ywtcp))
+      | Boxed bx ->
+          let r = bx.r and ywt = bx.ywt in
+          let ywtc = Array.make (rows * trail) K.zero in
+          bx.ywtc <- ywtc;
+          launch
+            (boxed_matmul ~threads:t.tile ~rows_o:rows ~cols_o:trail
+               ~inner:rows
+               ~geta:(fun i k' -> ywt.((i * rows) + k'))
+               ~getb:(fun k' j -> r.(((c0 + k') * n) + c1 + j))
+               ~store:(fun i j s -> ywtc.((i * trail) + j) <- s))
+      | Plan -> launch ignore
+
+    (* ---- The elementwise additions "Q + QWY" (Q[:, c0:] += QWY) and
+       "R + YWTC" (R[c0:, c1:] += YWTC): the destination window starts
+       at [off] with row pitch [pitch], the source is dense; [tile]
+       elements per block. ---- *)
+
+    type sum = Q_plus_qwy | R_plus_ywtc
+
+    let add_block t which blk =
+      let c1 = t.c0 + t.tile in
+      let rows_o, cols_o, pitch, off =
+        match which with
+        | Q_plus_qwy -> (t.mrows, t.rows, t.mrows, t.c0)
+        | R_plus_ywtc -> (t.rows, t.ncols - c1, t.ncols, (t.c0 * t.ncols) + c1)
+      in
+      let lo = blk * t.tile in
+      let hi = min (rows_o * cols_o) (lo + t.tile) in
+      (* Running (row, col) pair instead of two div/mod per element. *)
+      let i = ref (lo / cols_o) and j = ref (lo mod cols_o) in
+      let next () =
+        incr j;
+        if !j = cols_o then begin
+          j := 0;
+          incr i
+        end
+      in
+      match t.repr with
+      | Flat f ->
+          let { Nd_flat.make_ctx; load; add; store; _ } = the_plan () in
+          let ctx = make_ctx () in
+          let dst, src =
+            match which with
+            | Q_plus_qwy -> (f.qp, f.qwyp)
+            | R_plus_ywtc -> (f.rp, f.ywtcp)
+          in
+          for idx = lo to hi - 1 do
+            let d = (!i * pitch) + off + !j in
+            load ctx dst d;
+            add ctx src idx;
+            store ctx dst d;
+            next ()
+          done
+      | Boxed bx ->
+          let dst, src =
+            match which with
+            | Q_plus_qwy -> (bx.q, bx.qwy)
+            | R_plus_ywtc -> (bx.r, bx.ywtc)
+          in
+          for idx = lo to hi - 1 do
+            let d = (!i * pitch) + off + !j in
+            dst.(d) <- K.add dst.(d) src.(idx);
+            next ()
+          done
+      | Plan -> ()
+
+    (* ---- "apply Q^T to b" (thin path): b[c0:] += Y (W^H b[c0:]). ---- *)
+
+    (* u(blk) = W[:, blk]^H b[c0:], block [blk] < tile. *)
+    let qtb_u t blk =
+      let tile = t.tile and c0 = t.c0 in
+      if blk < tile then
+        match t.repr with
+        | Flat f ->
+            let { Nd_flat.make_ctx; clear; mul_add; store; _ } = the_plan () in
+            let ctx = make_ctx () in
+            clear ctx;
+            for i = 0 to t.rows - 1 do
+              mul_add ctx f.wp ((i * tile) + blk) f.bp (c0 + i)
+            done;
+            store ctx f.up blk
+        | Boxed bx ->
+            let sum = ref K.zero in
+            for i = 0 to t.rows - 1 do
+              sum :=
+                K.add !sum
+                  (K.mul (K.conj bx.w.((i * tile) + blk)) bx.b.(c0 + i))
+            done;
+            bx.u.(blk) <- !sum
+        | Plan -> ()
+
+    (* b[c0 + i] += Y[i, :] u, rows of block [blk]. *)
+    let qtb_y t blk =
+      let tile = t.tile and c0 = t.c0 in
+      let lo = blk * tile in
+      let hi = min t.rows (lo + tile) in
+      match t.repr with
+      | Flat f ->
+          let { Nd_flat.make_ctx; clear; load; add; mul_add; store; _ } =
+            the_plan ()
+          in
+          let ctx = make_ctx () in
+          for i = lo to hi - 1 do
+            clear ctx;
+            for j = 0 to tile - 1 do
+              mul_add ctx f.yp ((i * tile) + j) f.up j
+            done;
+            store ctx f.tmpp i;
+            load ctx f.bp (c0 + i);
+            add ctx f.tmpp i;
+            store ctx f.bp (c0 + i)
+          done
+      | Boxed bx ->
+          for i = lo to hi - 1 do
+            let sum = ref K.zero in
+            for j = 0 to tile - 1 do
+              sum := K.add !sum (K.mul bx.y.((i * tile) + j) bx.u.(j))
+            done;
+            bx.b.(c0 + i) <- K.add bx.b.(c0 + i) !sum
+          done
+      | Plan -> ()
+
+    (* ---- The device-resident matrices, for the ABFT probe and
+       finiteness sweeps and for the fault plane. ---- *)
+
+    type resident = R | Q | Y | W | B
+
+    let flat_of f = function
+      | R -> f.rp
+      | Q -> f.qp
+      | Y -> f.yp
+      | W -> f.wp
+      | B -> f.bp
+
+    let boxed_of bx = function
+      | R -> bx.r
+      | Q -> bx.q
+      | Y -> bx.y
+      | W -> bx.w
+      | B -> bx.b
+
+    (* Element (i, j) of a resident matrix (b is a column). *)
+    let at t m i j =
+      let pitch =
+        match m with R -> t.ncols | Q -> t.mrows | Y | W -> t.tile | B -> 1
+      in
+      let k = (i * pitch) + j in
+      match t.repr with
+      | Flat f -> read_el (flat_of f m) k
+      | Boxed bx -> (boxed_of bx m).(k)
+      | Plan -> K.zero
+
+    (* ---- Panel snapshots for fault replays: R, Q and b as they were
+       before the panel.  The flat arm blits planes into storage
+       allocated on the first snapshot and reused after. ---- *)
+
+    let snapshot t =
+      match t.repr with
+      | Flat f ->
+          let live = [| f.rp; f.qp; f.bp |] in
+          let saved =
+            match f.saved with
+            | Some s -> s
+            | None ->
+                let s =
+                  Array.map
+                    (fun p ->
+                      Nd_flat.make_planes ~limbs:K.width
+                        (Nd_flat.plane_dim p.(0)))
+                    live
+                in
+                f.saved <- Some s;
+                s
+          in
+          Array.iter2
+            (Array.iter2 (fun src dst -> Bigarray.Array1.blit src dst))
+            live saved
+      | Boxed bx ->
+          bx.snap <- Some (Array.copy bx.r, Array.copy bx.q, Array.copy bx.b)
+      | Plan -> ()
+
+    let restore t =
+      match t.repr with
+      | Flat { saved = Some saved; rp; qp; bp; _ } ->
+          Array.iter2
+            (Array.iter2 (fun src dst -> Bigarray.Array1.blit src dst))
+            saved [| rp; qp; bp |]
+      | Boxed { snap = Some (r0, q0, b0); r; q; b; _ } ->
+          Array.blit r0 0 r 0 (Array.length r);
+          Array.blit q0 0 q 0 (Array.length q);
+          Array.blit b0 0 b 0 (Array.length b)
+      | _ -> ()
+
+    (* Bit-flip corruptor over everything the current panel holds on the
+       device: R, Q, the panel's Y/W and (thin path) the right-hand side.
+       One element is picked weighted by size, one limb plane, one bit
+       of its word ([flip]); both arms draw and flip identically.  The
+       thin path's Q is never formed but still counts as resident
+       identity storage: a strike there draws its plane and bit and
+       changes nothing the factorization reads. *)
+    let corrupt t rng ~flip =
+      let panel = t.rows * t.tile in
+      let targets =
+        List.filter
+          (fun (_, _, n) -> n > 0)
+          ([ ("R", R, t.mrows * t.ncols); ("Q", Q, t.mrows * t.mrows);
+             ("Y", Y, panel); ("W", W, panel) ]
+          @
+          match t.rhs with Some b -> [ ("b", B, Array.length b) ] | None -> [])
+      in
+      let total = List.fold_left (fun acc (_, _, n) -> acc + n) 0 targets in
+      let strike name m idx =
+        let p = Dompool.Prng.int rng K.width in
+        let bit = Dompool.Prng.int rng 64 in
+        (if not (m = Q && t.thin) then
+           match t.repr with
+           | Flat f ->
+               let pl = flat_of f m in
+               Nd_flat.set pl p idx (flip (Nd_flat.get pl p idx) bit)
+           | Boxed bx ->
+               let arr = boxed_of bx m in
+               let planes = K.to_planes arr.(idx) in
+               planes.(p) <- flip planes.(p) bit;
+               arr.(idx) <- K.of_planes planes
+           | Plan -> ());
+        Printf.sprintf "%s[%d] plane %d bit %d" name idx p bit
+      in
+      let rec pick idx = function
+        | [] -> "nothing resident"
+        | (name, m, n) :: rest ->
+            if idx < n then strike name m idx else pick (idx - n) rest
+      in
+      if total = 0 then "nothing resident"
+      else pick (Dompool.Prng.int rng total) targets
+
+    (* Zero the numerically annihilated subdiagonal of R and bring Q, R
+       (and the thin path's Q^H b, written into the caller's array) back
+       to the host: the device -> host transfer.  Returns (q, r) as
+       row-major arrays; both empty in plan mode, q also on the thin
+       path. *)
+    let finish t =
+      let m = t.mrows and n = t.ncols in
+      match t.repr with
+      | Flat f ->
+          for j = 0 to n - 1 do
+            for i = j + 1 to m - 1 do
+              for pl = 0 to K.width - 1 do
+                Nd_flat.set f.rp pl ((i * n) + j) 0.0
+              done
+            done
+          done;
+          let host rows cols p =
+            let out = Array.make (rows * cols) K.zero in
+            unstage (view rows cols p) ~store:(fun i j x ->
+                out.((i * cols) + j) <- x);
+            out
+          in
+          (match t.rhs with
+          | Some b ->
+              unstage_vec (view (Array.length b) 1 f.bp) ~store:(fun i x ->
+                  b.(i) <- x)
+          | None -> ());
+          ((if t.thin then [||] else host m m f.qp), host m n f.rp)
+      | Boxed bx ->
+          for j = 0 to n - 1 do
+            for i = j + 1 to m - 1 do
+              bx.r.((i * n) + j) <- K.zero
+            done
+          done;
+          (bx.q, bx.r)
+      | Plan -> ([||], [||])
   end
 end

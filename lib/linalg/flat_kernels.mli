@@ -9,7 +9,10 @@
     the generic [Scalar.S] path at every supported width (double double,
     quad double, octo double, and any future Expansion precision);
     consumers switch paths on {!Make.available} with no numerical
-    consequences.
+    consequences.  The solvers stage once per factorization or solve,
+    through device states that put both paths behind one type:
+    {!Make.Qr} for the blocked QR (A staged once, Q and R unstaged once)
+    and {!Make.Bs} for the back substitution.
 
     Block-level entry points take the same block index as the generic
     [Sim.launch] bodies and write disjoint index ranges, so they are
@@ -66,23 +69,6 @@ module Make (K : Scalar.S) : sig
       lane replays the untiled per-element operation sequence exactly,
       so the result is bit-identical to the generic loop. *)
 
-  val matmul :
-    execute:bool ->
-    threads:int ->
-    rows_o:int ->
-    cols_o:int ->
-    inner:int ->
-    geta:(int -> int -> K.t) ->
-    getb:(int -> int -> K.t) ->
-    store:(int -> int -> K.t -> unit) ->
-    launch:((int -> unit) -> unit) ->
-    unit
-  (** The solver-facing matrix product: one entry point, both paths.
-      The caller computes the modeled device cost (identical on both
-      paths) and passes the launch as a closure; this function picks the
-      path — staged flat kernels when [execute] and {!available}, the
-      boxed accessor loop otherwise.  Results are bit-identical. *)
-
   val bs_xi_block :
     dim:int -> r0:int -> n:int -> planes -> planes -> planes -> unit
   (** [bs_xi_block ~dim ~r0 ~n v bd x]: x_i := U_i^{-1} b_i on the tile
@@ -124,8 +110,9 @@ module Make (K : Scalar.S) : sig
       Householder panel update. *)
 
   val ewadd : planes -> planes -> unit
-  (** dst[i] := dst[i] + src[i] elementwise over whole planes (kept on
-      the generic path in the solvers; here for tests and bench). *)
+  (** dst[i] := dst[i] + src[i] elementwise over whole planes — the
+      operation sequence of the QR's "Q + QWY" and "R + YWTC" kernels
+      ({!Qr.add_block}), over a whole plane instead of a window. *)
 
   (** The back substitution device state, both paths behind one type:
       the staged-planes arm when flat execution is on, the boxed host
@@ -181,5 +168,109 @@ module Make (K : Scalar.S) : sig
     val unstage_x : t -> unit
     (** Write the staged solution back into the host array (identity on
         the boxed arm, which solved in place). *)
+  end
+
+  (** The blocked Householder QR device state, all paths behind one
+      type, so [Blocked_qr.factor_gen] is written once against it.
+
+      The flat arm stages A into the R limb planes once (Q starts as
+      identity planes), runs every kernel of the factorization — the
+      panel kernels, the three matrix products through
+      {!matmul_block}, the two elementwise additions and the thin
+      path's application of Q^H to b — on one plane workspace
+      allocated per factorization, and unstages Q and R once in
+      {!finish}.  The boxed arm runs the generic [K.t] loops (complex,
+      instrumented and plain double scalars, or {!enabled} off); the
+      plan arm (not executing) allocates and touches nothing.  Both
+      executing arms perform the same operation sequence per element,
+      so results are limb for limb identical.
+
+      Kernel entry points take the launch block index and write
+      disjoint ranges per block, like every other block kernel here. *)
+  module Qr : sig
+    type t
+
+    val create :
+      execute:bool ->
+      accumulate_q:bool ->
+      mrows:int ->
+      ncols:int ->
+      tile:int ->
+      a:K.t array option ->
+      rhs:K.t array option ->
+      t
+    (** [create ~execute ~accumulate_q ~mrows ~ncols ~tile ~a ~rhs]:
+        the device state for factoring the row-major [mrows]-by-[ncols]
+        matrix [a] (not modified).  Executes only when [execute] and [a]
+        is given; [accumulate_q = false] is the economy path, which
+        never forms Q and applies the reflectors to [rhs] instead. *)
+
+    val begin_panel : t -> c0:int -> unit
+    (** Start the panel whose first column is [c0]: zero Y and W. *)
+
+    val beta_v : t -> l:int -> c:int -> unit
+    (** "beta, v" for panel column [l] (matrix column [c]); one block. *)
+
+    val save_v : t -> l:int -> c:int -> unit
+    (** Store the Householder vector into column [l] of Y. *)
+
+    val rtv : t -> l:int -> c:int -> int -> unit
+    (** "beta*R^T*v", one block per trailing panel column. *)
+
+    val update_r : t -> l:int -> c:int -> int -> unit
+    (** "update R": R := R - v (beta v^H R), [tile] elements a block. *)
+
+    val w_u : t -> l:int -> int -> unit
+    (** "compute W", first launch: u = Y[:, :l]^H Y[:, l]. *)
+
+    val w_z : t -> l:int -> int -> unit
+    (** "compute W", second launch: W[:, l] = -beta (Y[:, l] + W u). *)
+
+    val ywt : t -> ((int -> unit) -> unit) -> unit
+    (** [ywt t launch] forms the operands of "Y*W^T" and runs the
+        product through [launch] (a body over the launch grid). *)
+
+    val qwy : t -> ((int -> unit) -> unit) -> unit
+    (** "Q*WY^T": QWY = Q[:, c0:] (YWT)^H. *)
+
+    val ywtc : t -> ((int -> unit) -> unit) -> unit
+    (** "YWT*C": YWTC = YWT R[c0:, c1:]. *)
+
+    type sum = Q_plus_qwy | R_plus_ywtc
+
+    val add_block : t -> sum -> int -> unit
+    (** The elementwise additions "Q + QWY" and "R + YWTC". *)
+
+    val qtb_u : t -> int -> unit
+    (** Thin path, first launch: u = W^H b[c0:]. *)
+
+    val qtb_y : t -> int -> unit
+    (** Thin path, second launch: b[c0:] += Y u. *)
+
+    type resident = R | Q | Y | W | B
+    (** The device-resident matrices: R, Q, the panel's Y and W, and the
+        thin path's right-hand side b (a column). *)
+
+    val at : t -> resident -> int -> int -> K.t
+    (** [at t m i j] reads element (i, j) of [m] (verification probes;
+        never the hot loops). *)
+
+    val snapshot : t -> unit
+    (** Save R, Q and b (plane blits on the flat arm, into storage
+        allocated once). *)
+
+    val restore : t -> unit
+    (** Put the last {!snapshot} back. *)
+
+    val corrupt : t -> Dompool.Prng.t -> flip:(float -> int -> float) -> string
+    (** Flip one [flip]-selected bit of one limb of one size-weighted
+        element of R, Q, Y, W or b; both arms draw and flip
+        identically.  Returns a description. *)
+
+    val finish : t -> K.t array * K.t array
+    (** Zero the subdiagonal of R, write Q^H b back into the caller's
+        right-hand side (thin path) and return Q and R as row-major
+        arrays — the device -> host transfer.  Q is empty on the thin
+        path, both are empty in plan mode. *)
   end
 end

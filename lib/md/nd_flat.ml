@@ -31,9 +31,9 @@
      [Expansion.Pre] sequences as the generic replay below, but
      monomorphic and straight-line — the 36 partial products of the
      truncated multiplication hand-unrolled, the 79-slot product buffer
-     sorted by a float-specialized replica of the stdlib heapsort
-     (identical permutation, hence identical bits) instead of a
-     closure-dispatched polymorphic sort.
+     sorted by an insertion sort that reaches the same distilled bits as
+     the boxed path's [Renorm.sort_by_magnitude] (falling back to it on
+     the rare ties where the two could differ).
    - every other m >= 3 runs an allocation-free replay of
      [Expansion.Pre]: accurate addition as merge-by-magnitude plus a
      two-pass renormalization, truncated multiplication as the exact
@@ -137,96 +137,6 @@ type plan = {
 }
 
 let empty = [||]
-
-(* ------------------------------------------------------------------ *)
-(* The magnitude sort, monomorphized                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* [sort_mag a] sorts in place by decreasing absolute value, producing
-   the EXACT permutation of [Renorm.sort_by_magnitude] (stdlib
-   [Array.sort] with [fun x y -> compare (Float.abs y) (Float.abs x)]).
-   The permutation matters: elements of equal magnitude but different
-   sign flow through the renormalization ladder in buffer order, and the
-   boxed path fixed that order when it sorted.  This is a field-for-field
-   replica of the stdlib ternary heapsort with the comparison inlined on
-   floats (the [Bottom] exception becomes a negative return), so the hot
-   mul path pays float compares instead of a closure dispatch and a
-   polymorphic-compare C call per comparison — the single largest cost
-   of the octo double product. *)
-let sort_mag (a : float array) =
-  (* Only the sign of [cmp x y = Float.compare (Float.abs y)
-     (Float.abs x)] is ever consumed, through these two tests; NaN
-     orders below everything and equal to itself, as both
-     [Float.compare] and the polymorphic compare do on floats. *)
-  let[@inline] lt x y =
-    (* cmp x y < 0 *)
-    let ax = Float.abs x and ay = Float.abs y in
-    ay < ax || (ay <> ay && ax = ax)
-  in
-  let[@inline] gt x y =
-    (* cmp x y > 0 *)
-    let ax = Float.abs x and ay = Float.abs y in
-    ay > ax || (ax <> ax && ay = ay)
-  in
-  (* Index of the largest of up to three sons of [i], or [-1 - i'] where
-     [i'] is the sonless node (stdlib's [Bottom i'] exception). *)
-  let maxson l i =
-    let i31 = i + i + i + 1 in
-    if i31 + 2 < l then begin
-      let x =
-        if lt (Array.unsafe_get a i31) (Array.unsafe_get a (i31 + 1)) then
-          i31 + 1
-        else i31
-      in
-      if lt (Array.unsafe_get a x) (Array.unsafe_get a (i31 + 2)) then i31 + 2
-      else x
-    end
-    else if
-      i31 + 1 < l && lt (Array.unsafe_get a i31) (Array.unsafe_get a (i31 + 1))
-    then i31 + 1
-    else if i31 < l then i31
-    else -1 - i
-  in
-  let rec trickledown l i e =
-    let j = maxson l i in
-    if j >= 0 then
-      if gt (Array.unsafe_get a j) e then begin
-        Array.unsafe_set a i (Array.unsafe_get a j);
-        trickledown l j e
-      end
-      else Array.unsafe_set a i e
-    else (* Bottom *) Array.unsafe_set a (-1 - j) e
-  in
-  let rec bubbledown l i =
-    let j = maxson l i in
-    if j >= 0 then begin
-      Array.unsafe_set a i (Array.unsafe_get a j);
-      bubbledown l j
-    end
-    else -1 - j
-  in
-  let rec trickleup i e =
-    let father = (i - 1) / 3 in
-    if lt (Array.unsafe_get a father) e then begin
-      Array.unsafe_set a i (Array.unsafe_get a father);
-      if father > 0 then trickleup father e else Array.unsafe_set a 0 e
-    end
-    else Array.unsafe_set a i e
-  in
-  let l = Array.length a in
-  for i = ((l + 1) / 3) - 1 downto 0 do
-    trickledown l i (Array.unsafe_get a i)
-  done;
-  for i = l - 1 downto 2 do
-    let e = Array.unsafe_get a i in
-    Array.unsafe_set a i (Array.unsafe_get a 0);
-    trickleup (bubbledown i 0) e
-  done;
-  if l > 1 then begin
-    let e = Array.unsafe_get a 1 in
-    Array.unsafe_set a 1 (Array.unsafe_get a 0);
-    Array.unsafe_set a 0 e
-  end
 
 (* ------------------------------------------------------------------ *)
 (* m = 2: the unrolled QDlib sequences of [Double_double]              *)
@@ -685,13 +595,11 @@ end
 
 (* Octo double is the precision where flat execution should pay off the
    most — the paper's cost-of-arithmetic-to-memory ratio peaks at 8
-   limbs — yet the generic replay below left it at ~2x: both the boxed
-   path and the replay shared the closure-dispatched polymorphic sort of
-   the 79-slot product buffer, which dominates the multiplication.  This
-   engine runs the SAME [Expansion.Pre] operation sequence (so the
-   bit-identity suites pin it against [Octo_double]) with everything
-   monomorphic: the 36 partial products hand-unrolled into straight-line
-   fma code, the magnitude sort through {!sort_mag}, the merge and
+   limbs.  This engine runs the SAME [Expansion.Pre] operation sequence
+   (so the bit-identity suites pin it against [Octo_double]) with
+   everything monomorphic: the 36 partial products hand-unrolled into
+   straight-line fma code, the 79-slot magnitude sort through {!sort8},
+   the merge and
    renormalization ladders over fixed-size scratch with unchecked
    accesses.  Only the data-dependent forward commit pass (QDlib's zero
    tests) remains a loop by nature. *)
@@ -707,9 +615,9 @@ module Od = struct
       nb = Array.make 8 0.0;
       abuf = Array.make 16 0.0;
       pbuf = Array.make pcount8 0.0;
-      rt = empty;
+      rt = Array.make pcount8 0.0;
       out = Array.make 8 0.0;
-      uv = Array.make 1 0.0;
+      uv = empty;
       mi = 0;
       mj = 0;
       mk = 0;
@@ -751,21 +659,21 @@ module Od = struct
 
   (* [renorm_into8 c buf n]: [Renorm.renormalize ~passes:2 ~m:8] over
      buf.(0 .. n-1) into c.out — the operation sequence of
-     [Gen.renorm_into] at m = 8, monomorphic, with the running carry in
-     the unboxed c.uv slot.  buf is clobbered. *)
+     [Gen.renorm_into] at m = 8, monomorphic, with the running carry and
+     the cursors in local mutable variables (unboxed, register
+     resident) instead of ctx fields.  buf is clobbered. *)
   let renorm_into8 c (buf : float array) n =
-    let uv = c.uv in
     for _pass = 1 to 2 do
-      Array.unsafe_set uv 0 (Array.unsafe_get buf (n - 1));
+      let carry = ref (Array.unsafe_get buf (n - 1)) in
       for i = n - 2 downto 0 do
-        let a = Array.unsafe_get buf i and b = Array.unsafe_get uv 0 in
+        let a = Array.unsafe_get buf i and b = !carry in
         let s = a +. b in
         let bb = s -. a in
         let e = (a -. (s -. bb)) +. (b -. bb) in
-        Array.unsafe_set uv 0 s;
+        carry := s;
         Array.unsafe_set buf (i + 1) e
       done;
-      Array.unsafe_set buf 0 (Array.unsafe_get uv 0)
+      Array.unsafe_set buf 0 !carry
     done;
     let out = c.out in
     Array.unsafe_set out 0 0.0;
@@ -776,22 +684,57 @@ module Od = struct
     Array.unsafe_set out 5 0.0;
     Array.unsafe_set out 6 0.0;
     Array.unsafe_set out 7 0.0;
-    c.mi <- 1;
-    c.mk <- 0;
-    Array.unsafe_set uv 0 (Array.unsafe_get buf 0);
-    while c.mi < n && c.mk < 8 do
-      let a = Array.unsafe_get uv 0 and b = Array.unsafe_get buf c.mi in
+    let i = ref 1 and k = ref 0 in
+    let acc = ref (Array.unsafe_get buf 0) in
+    while !i < n && !k < 8 do
+      let a = !acc and b = Array.unsafe_get buf !i in
       let s = a +. b in
       let e = b -. (s -. a) in
       if e <> 0.0 then begin
-        Array.unsafe_set out c.mk s;
-        c.mk <- c.mk + 1;
-        Array.unsafe_set uv 0 e
+        Array.unsafe_set out !k s;
+        incr k;
+        acc := e
       end
-      else Array.unsafe_set uv 0 s;
-      c.mi <- c.mi + 1
+      else acc := s;
+      incr i
     done;
-    if c.mk < 8 then Array.unsafe_set out c.mk (Array.unsafe_get uv 0)
+    if !k < 8 then Array.unsafe_set out !k !acc
+
+  (* [sort8 c u]: the product buffer sorted by decreasing magnitude, with
+     exactly the renormalized result [Renorm.sort_by_magnitude] leads to.
+     The emission order is nearly sorted already (each order's partial
+     products sit just above the next order's), so an insertion sort does
+     a few hundred moves where the heapsort makes thousands of
+     comparisons.  Two valid magnitude sorts differ only inside groups of
+     equal magnitude: identical values are interchangeable, and the signed
+     zeros, which sort last, give the same two-pass distillation in any
+     arrangement (every [two_sum] of two zeros has a +0 error, and the
+     carry out of the zero tail is -0 exactly when all of it is -0).  Any
+     other tie (x beside -x, +-infinity) or a NaN falls back to the
+     heapsort on the saved emission order, the boxed path's exact
+     permutation. *)
+  let sort8 c (u : float array) =
+    let saved = c.rt in
+    Array.blit u 0 saved 0 pcount8;
+    for i = 1 to pcount8 - 1 do
+      let x = Array.unsafe_get u i in
+      let ax = Float.abs x in
+      let j = ref (i - 1) in
+      while !j >= 0 && Float.abs (Array.unsafe_get u !j) < ax do
+        Array.unsafe_set u (!j + 1) (Array.unsafe_get u !j);
+        decr j
+      done;
+      Array.unsafe_set u (!j + 1) x
+    done;
+    let exact = ref true in
+    for k = 0 to pcount8 - 2 do
+      let x = Array.unsafe_get u k and y = Array.unsafe_get u (k + 1) in
+      if x <> x || y <> y || (x = -.y && x <> 0.0) then exact := false
+    done;
+    if not !exact then begin
+      Array.blit saved 0 u 0 pcount8;
+      Renorm.sort_by_magnitude u
+    end
 
   let[@inline] blit_out8 c (dst : float array) =
     let o = c.out in
@@ -921,7 +864,7 @@ module Od = struct
     Array.unsafe_set u 76 (a5 *. b3);
     Array.unsafe_set u 77 (a6 *. b2);
     Array.unsafe_set u 78 (a7 *. b1);
-    sort_mag u;
+    sort8 c u;
     renorm_into8 c u pcount8;
     blit_out8 c dst
 
@@ -1056,8 +999,8 @@ module Gen = struct
      [Expansion.Pre.mul] — partial products emitted by increasing order
      (each order-< m product split by fma two_prod), one guard order of
      plain products, sorted by decreasing magnitude, distilled in two
-     passes.  {!sort_mag} is called on the exact-sized buffer so ties
-     land in the same order as the boxed path. *)
+     passes.  The sort runs on the exact-sized buffer so ties land in
+     the same order as the boxed path. *)
   let mul_into c m (dst : float array) (a : planes) ia (b : planes) ib =
     let buf = c.pbuf in
     c.mk <- 0;
@@ -1077,7 +1020,7 @@ module Gen = struct
       buf.(c.mk) <- get a i ia *. get b (m - i) ib;
       c.mk <- c.mk + 1
     done;
-    sort_mag buf;
+    Renorm.sort_by_magnitude buf;
     renorm_into c buf (pcount m) m 2;
     Array.blit c.out 0 dst 0 m
 

@@ -70,9 +70,90 @@ let grow e x =
   !q
 
 (* [sort_by_magnitude a] sorts in place by decreasing absolute value;
-   used to merge the limbs of two expansions before distillation. *)
-let sort_by_magnitude a =
-  Array.sort (fun x y -> compare (Float.abs y) (Float.abs x)) a
+   used to order partial products before distillation.  It produces the
+   EXACT permutation of the stdlib [Array.sort] with
+   [fun x y -> compare (Float.abs y) (Float.abs x)]: elements of equal
+   magnitude but different sign flow through the renormalization ladder
+   in buffer order, so the permutation fixes the last-limb bits.  This
+   is a field-for-field replica of the stdlib ternary heapsort with the
+   comparison inlined on floats (the [Bottom] exception becomes a
+   negative return), so the octo double product — boxed and flat alike
+   — pays float compares instead of a closure dispatch and a
+   polymorphic-compare C call per comparison. *)
+let sort_by_magnitude (a : float array) =
+  (* Only the sign of [cmp x y = Float.compare (Float.abs y)
+     (Float.abs x)] is ever consumed, through these two tests; NaN
+     orders below everything and equal to itself, as both
+     [Float.compare] and the polymorphic compare do on floats. *)
+  let[@inline] lt x y =
+    (* cmp x y < 0 *)
+    let ax = Float.abs x and ay = Float.abs y in
+    ay < ax || (ay <> ay && ax = ax)
+  in
+  let[@inline] gt x y =
+    (* cmp x y > 0 *)
+    let ax = Float.abs x and ay = Float.abs y in
+    ay > ax || (ax <> ax && ay = ay)
+  in
+  (* Index of the largest of up to three sons of [i], or [-1 - i'] where
+     [i'] is the sonless node (stdlib's [Bottom i'] exception). *)
+  let maxson l i =
+    let i31 = i + i + i + 1 in
+    if i31 + 2 < l then begin
+      let x =
+        if lt (Array.unsafe_get a i31) (Array.unsafe_get a (i31 + 1)) then
+          i31 + 1
+        else i31
+      in
+      if lt (Array.unsafe_get a x) (Array.unsafe_get a (i31 + 2)) then i31 + 2
+      else x
+    end
+    else if
+      i31 + 1 < l && lt (Array.unsafe_get a i31) (Array.unsafe_get a (i31 + 1))
+    then i31 + 1
+    else if i31 < l then i31
+    else -1 - i
+  in
+  let rec trickledown l i e =
+    let j = maxson l i in
+    if j >= 0 then
+      if gt (Array.unsafe_get a j) e then begin
+        Array.unsafe_set a i (Array.unsafe_get a j);
+        trickledown l j e
+      end
+      else Array.unsafe_set a i e
+    else (* Bottom *) Array.unsafe_set a (-1 - j) e
+  in
+  let rec bubbledown l i =
+    let j = maxson l i in
+    if j >= 0 then begin
+      Array.unsafe_set a i (Array.unsafe_get a j);
+      bubbledown l j
+    end
+    else -1 - j
+  in
+  let rec trickleup i e =
+    let father = (i - 1) / 3 in
+    if lt (Array.unsafe_get a father) e then begin
+      Array.unsafe_set a i (Array.unsafe_get a father);
+      if father > 0 then trickleup father e else Array.unsafe_set a 0 e
+    end
+    else Array.unsafe_set a i e
+  in
+  let l = Array.length a in
+  for i = ((l + 1) / 3) - 1 downto 0 do
+    trickledown l i (Array.unsafe_get a i)
+  done;
+  for i = l - 1 downto 2 do
+    let e = Array.unsafe_get a i in
+    Array.unsafe_set a i (Array.unsafe_get a 0);
+    trickleup (bubbledown i 0) e
+  done;
+  if l > 1 then begin
+    let e = Array.unsafe_get a 1 in
+    Array.unsafe_set a 1 (Array.unsafe_get a 0);
+    Array.unsafe_set a 0 e
+  end
 
 (* [merge_by_magnitude a b] merges two arrays that are each already
    sorted by decreasing absolute value (as normalized expansions are)

@@ -23,7 +23,11 @@ val grow : float array -> float -> float
 
 val sort_by_magnitude : float array -> unit
 (** Sorts in place by decreasing absolute value; used to order partial
-    products before distillation. *)
+    products before distillation.  Produces exactly the permutation of
+    the stdlib [Array.sort] with
+    [fun x y -> compare (Float.abs y) (Float.abs x)] (ties, NaN and
+    signed zeros included) through a float-monomorphic replica of its
+    heapsort, so every caller — boxed and flat — shares one order. *)
 
 val merge_by_magnitude : float array -> float array -> float array
 (** Merges two arrays already sorted by decreasing absolute value (as

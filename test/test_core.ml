@@ -317,6 +317,33 @@ let test_qr_flops () =
   let dyn, ana = count_with (fun sim -> ignore (Qrc.factor sim a ~tile:4)) in
   ops_close "blocked qr" dyn ana
 
+(* Plan mode runs no kernel body, so it must allocate no matrix storage
+   and no per-column buffer: nothing of the factorization's data size
+   may land directly on the major heap (a 1024-row Householder vector
+   alone is over the minor-heap size limit).  The first call warms up
+   the process-wide registries.  A promotion during the call can be
+   tallied in [major_words] but not yet in [promoted_words] (the
+   multicore runtime keeps per-domain counters), so the check takes the
+   least of three calls: a per-call data allocation shows in every one. *)
+module Qrdd = Blocked_qr.Make (Scalar.Dd)
+
+let test_plan_allocates_nothing () =
+  let device = Gpusim.Device.v100 in
+  ignore (Qrdd.run_plan ~device ~rows:64 ~cols:64 ~tile:16 ());
+  let direct () =
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let once () =
+    let before = direct () in
+    ignore (Qrdd.run_plan ~device ~rows:1024 ~cols:1024 ~tile:128 ());
+    direct () -. before
+  in
+  let words = List.fold_left Float.min (once ()) [ once (); once () ] in
+  if words >= 10_000.0 then
+    Alcotest.failf
+      "run_plan 1024x1024/128 allocated %.0f words on the major heap" words
+
 let () =
   Alcotest.run "lsq_core"
     [
@@ -330,5 +357,10 @@ let () =
         [
           Alcotest.test_case "back substitution" `Quick test_back_sub_flops;
           Alcotest.test_case "blocked qr" `Quick test_qr_flops;
+        ] );
+      ( "plan mode",
+        [
+          Alcotest.test_case "blocked qr plan allocates no data" `Quick
+            test_plan_allocates_nothing;
         ] );
     ]

@@ -160,6 +160,11 @@ module Equiv (K : Scalar.S) = struct
     Flat_kernels.enabled := on;
     Fun.protect ~finally:(fun () -> Flat_kernels.enabled := prev) f
 
+  (* A multi-panel square factorization per width, the shapes of the
+     benchmark's executed solves scaled down. *)
+  let multi_panel =
+    match K.width with 2 -> (64, 64, 16) | 4 -> (48, 48, 16) | _ -> (32, 32, 8)
+
   let test_qr_paths_identical () =
     let rng = Dompool.Prng.create 6 in
     List.iter
@@ -175,7 +180,62 @@ module Equiv (K : Scalar.S) = struct
         check "same modeled ms" true
           (flat.Qr.kernel_ms = gen.Qr.kernel_ms
           && flat.Qr.wall_ms = gen.Qr.wall_ms))
-      [ (12, 8, 4); (24, 16, 8) ]
+      ([ (12, 8, 4); (24, 16, 8) ] @ [ multi_panel ])
+
+  (* The economy path: R and Q^H b (written over b) through the thin
+     factorization, several panels of a tall matrix. *)
+  let test_thin_paths_identical () =
+    let rng = Dompool.Prng.create 16 in
+    let rows = 96 and cols = 32 and tile = 16 in
+    let a = Rand.matrix rng rows cols and b = Rand.vector rng rows in
+    let thin () =
+      let sim = Gpusim.Sim.create ~device ~prec:K.prec () in
+      let bq = V.copy b in
+      let r = Qr.factor_thin sim a ~b:bq ~tile in
+      (r, bq, Gpusim.Sim.wall_ms sim)
+    in
+    let rf, bf, msf = with_flat true thin in
+    let rg, bg, msg = with_flat false thin in
+    check_mat "thin: r" rf rg;
+    check_vec "thin: Q^H b" bf bg;
+    check "thin: same modeled ms" true (msf = msg)
+
+  (* A seeded bit-flip + launch-failure campaign: corruption sites,
+     detections and replays must not depend on the execution path, so
+     Q, R and the whole fault tally agree with flat execution on and
+     off. *)
+  let test_fault_campaign_identical () =
+    let rng = Dompool.Prng.create 17 in
+    let rows, cols, tile = multi_panel in
+    let a = Rand.matrix rng rows cols in
+    let struck = ref 0 in
+    List.iter
+      (fun seed ->
+        let fault =
+          Fault.Plan.config ~seed ~rate:0.01
+            ~kinds:[ Fault.Plan.Bitflip; Fault.Plan.Launch_fail ]
+            ()
+        in
+        let run () =
+          match Qr.run ~fault ~device ~a ~tile () with
+          | r -> Ok r
+          | exception Fault.Plan.Injected (k, site) ->
+              Error (Fault.Plan.kind_name k ^ "@" ^ site)
+        in
+        match (with_flat true run, with_flat false run) with
+        | Ok flat, Ok gen ->
+            let msg = Printf.sprintf "campaign seed %d" seed in
+            check_mat (msg ^ ": q") flat.Qr.q gen.Qr.q;
+            check_mat (msg ^ ": r") flat.Qr.r gen.Qr.r;
+            check (msg ^ ": same tally") true (flat.Qr.faults = gen.Qr.faults);
+            Option.iter
+              (fun t -> struck := !struck + t.Fault.Plan.bitflips)
+              flat.Qr.faults
+        | Error ef, Error eg ->
+            Alcotest.(check string) "same escalation" eg ef
+        | _ -> Alcotest.failf "seed %d: escalated on one path only" seed)
+      [ 1; 2; 3; 4; 5; 6 ];
+    check "the campaign flipped bits" true (!struck > 0)
 
   let test_back_sub_paths_identical () =
     let rng = Dompool.Prng.create 7 in
@@ -198,6 +258,10 @@ module Equiv (K : Scalar.S) = struct
       Alcotest.test_case (prefix ^ " ewadd") `Quick test_ewadd;
       Alcotest.test_case (prefix ^ " matmul blocks") `Quick test_matmul_blocks;
       Alcotest.test_case (prefix ^ " qr paths") `Quick test_qr_paths_identical;
+      Alcotest.test_case (prefix ^ " thin qr paths") `Quick
+        test_thin_paths_identical;
+      Alcotest.test_case (prefix ^ " qr fault campaign") `Quick
+        test_fault_campaign_identical;
       Alcotest.test_case (prefix ^ " back sub paths") `Quick
         test_back_sub_paths_identical;
     ]
@@ -278,6 +342,26 @@ let test_gating () =
   Flat_kernels.enabled := true;
   check "re-enabled" true (avail (module Scalar.Dd))
 
+(* Complex scalars have no flat plan: with the flat layer switched on,
+   the QR device state must still take the boxed arm and factor
+   correctly (A = QR, Q unitary). *)
+let test_complex_boxed_arm () =
+  let module K = Scalar.Zdd in
+  let module M = Mat.Make (K) in
+  let module F = Flat_kernels.Make (K) in
+  let module Qr = Blocked_qr.Make (K) in
+  let module Rand = Randmat.Make (K) in
+  Flat_kernels.enabled := true;
+  check "complex dd has no flat arm" false (F.available ());
+  let a = Rand.matrix (Dompool.Prng.create 18) 24 16 in
+  let res = Qr.run ~device ~a ~tile:8 () in
+  let small x = K.R.to_float x < 1e-28 in
+  check "boxed arm: A = QR" true
+    (small (M.rel_distance (M.matmul res.Qr.q res.Qr.r) a));
+  let qhq = M.matmul (M.adjoint res.Qr.q) res.Qr.q in
+  check "boxed arm: Q unitary" true
+    (small (M.rel_distance qhq (M.identity 24)))
+
 let () =
   Alcotest.run "flat kernels"
     [
@@ -286,4 +370,6 @@ let () =
       ("od equivalence", Eod.tests "od");
       ("staging", Rdd.tests "dd" @ Rqd.tests "qd" @ Rod.tests "od");
       ("gating", [ Alcotest.test_case "capability gate" `Quick test_gating ]);
+      ( "boxed arm",
+        [ Alcotest.test_case "complex dd qr" `Quick test_complex_boxed_arm ] );
     ]

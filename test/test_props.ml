@@ -250,6 +250,32 @@ module Flat_props (S : Md_sig.S) = struct
     in
     return (S.of_limbs l)
 
+  (* Values that make the product buffer tie: only the leading [k]
+     limbs nonzero (the rest signed zeros), random signs per limb, and
+     optionally one mantissa repeated down the limbs, so partial
+     products of one order share a magnitude with either sign.  These
+     drive the octo double engine's sort off its fast path and through
+     the signed-zero arrangements it relies on being harmless. *)
+  let gen_tied : S.t Gen.t =
+    let open Gen in
+    let* k = int_range 1 m in
+    let* repeat = bool in
+    let* mant = float_range 0.5 1.0 in
+    let* mants = array_size (return m) (float_range 0.5 1.0) in
+    let* signs = array_size (return m) bool in
+    let* e = int_range (-24) 24 in
+    let l =
+      Array.init m (fun i ->
+          let x =
+            if i >= k then 0.0
+            else
+              (if repeat then mant else mants.(i))
+              *. (2.0 ** ((-53.0 *. float_of_int i) +. float_of_int e))
+          in
+          if signs.(i) then x else -.x)
+    in
+    return (S.of_limbs l)
+
   let bits_eq (a : float array) (b : float array) =
     Array.length a = Array.length b
     && Array.for_all2
@@ -302,6 +328,17 @@ module Flat_props (S : Md_sig.S) = struct
             let ctx = make_ctx () in
             mul_set ctx (stage [| a |]) 0 (stage [| b |]) 0;
             check_op "mul_set" (S.mul a b) (acc_limbs ctx));
+        to_alco ~count:300 "mul_set (sparse, tied limbs)"
+          (Gen.pair gen_tied gen_tied) (fun (a, b) ->
+            let ctx = make_ctx () in
+            mul_set ctx (stage [| a |]) 0 (stage [| b |]) 0;
+            check_op "mul_set" (S.mul a b) (acc_limbs ctx));
+        to_alco ~count:300 "mul_add (sparse, tied limbs)"
+          (Gen.triple gen_tied gen_tied gen_tied) (fun (c, a, b) ->
+            let ctx = make_ctx () in
+            load ctx (stage [| c |]) 0;
+            mul_add ctx (stage [| a |]) 0 (stage [| b |]) 0;
+            check_op "mul_add" (S.add c (S.mul a b)) (acc_limbs ctx));
         to_alco ~count:200 "mul_add" (Gen.triple gen_val gen_val gen_val)
           (fun (c, a, b) ->
             let ctx = make_ctx () in
@@ -641,6 +678,68 @@ module Pr_dd_od = Refine_props (Scalar.Dd) (Scalar.Od)
 module Pr_zdd_zqd = Refine_props (Scalar.Zdd) (Scalar.Zqd)
 module Pr_zqd_zod = Refine_props (Scalar.Zqd) (Scalar.Zod)
 
+(* The magnitude sort fixes the order in which equal-magnitude terms of
+   opposite sign enter the renormalization ladder, so its permutation is
+   part of every product's bits.  [Renorm.sort_by_magnitude] is a
+   float-monomorphic replica of the stdlib heapsort; pin it bit for bit
+   to the closure-compare reference it replicates, over every length up
+   to 80 (79 is the octo double product buffer) and the values that
+   stress the comparison: signed zeros, NaN, infinities and +-x ties. *)
+let sort_suite =
+  let open QCheck2 in
+  let reference a =
+    Array.sort (fun x y -> compare (Float.abs y) (Float.abs x)) a
+  in
+  let special =
+    Gen.oneofl [ 0.0; -0.0; Float.nan; -.Float.nan; Float.infinity;
+                 Float.neg_infinity; 1.0; -1.0; 0x1p-1074; -0x1p-1074 ]
+  in
+  (* A small pool of magnitudes drawn per array, each used with either
+     sign, so equal-magnitude ties are the rule rather than chance. *)
+  let gen_tied =
+    let open Gen in
+    let* pool = array_size (int_range 1 4) (float_range (-4.0) 4.0) in
+    let el =
+      frequency
+        [
+          (6, map2 (fun i neg ->
+                  let x = pool.(i mod Array.length pool) in
+                  if neg then -.x else x)
+                nat bool);
+          (2, special);
+          (1, float);
+        ]
+    in
+    array_size (int_range 0 80) el
+  in
+  let bits a = Array.map Int64.bits_of_float a in
+  let law a =
+    let mine = Array.copy a and theirs = Array.copy a in
+    Renorm.sort_by_magnitude mine;
+    reference theirs;
+    bits mine = bits theirs
+  in
+  ( "magnitude sort",
+    [
+      to_alco ~count:500 "sort_by_magnitude = stdlib order (ties, specials)"
+        gen_tied law;
+      to_alco ~count:300 "sort_by_magnitude = stdlib order (any floats)"
+        Gen.(array_size (int_range 0 80) float) law;
+      Alcotest.test_case "every length 0..80" `Quick (fun () ->
+          let rng = Random.State.make [| 80 |] in
+          for n = 0 to 80 do
+            let a =
+              Array.init n (fun i ->
+                  if i mod 7 = 3 then Float.nan
+                  else if i mod 5 = 1 then -0.0
+                  else
+                    let x = float_of_int (Random.State.int rng 5) in
+                    if Random.State.bool rng then -.x else x)
+            in
+            if not (law a) then Alcotest.failf "length %d: order differs" n
+          done);
+    ] )
+
 let () =
   Alcotest.run "properties"
     ([
@@ -655,6 +754,7 @@ let () =
     @ flat_suites @ replay_suites
     @ [
       flat_gate_suite;
+      sort_suite;
       Ld.suite "double";
       Ldd.suite "double double";
       Lqd.suite "quad double";
