@@ -25,14 +25,19 @@
    line of each B limb plane), KC chosen so the B panel of a chunk
    (KC * NR elements * width limbs * 8 bytes, double-buffered) fits in a
    32 KiB L1 slice — 128 for double double, 64 for quad double, 32 for
-   octo double.  Each of the NR lanes owns its own kernel context, so a
-   lane's operation sequence is exactly the untiled per-element sequence
-   (clear, ascending-k multiply-accumulate, store); spilling the partial
-   accumulator to the C planes between KC chunks is a plain limb copy in
-   both directions, so tiling preserves bit-identity.  What tiling buys
-   is locality: the inner loop walks a row of B unit-stride across the
-   lanes (the untiled loop walked B with column stride) and reuses each
-   A element NR times and each B panel across every row of the block.
+   octo double.  A micro-tile is one call of the plan's fused
+   [mac_lanes] with NR lanes, and every lane's operation sequence is
+   exactly the untiled per-element sequence (clear, ascending-k
+   multiply-accumulate, store); spilling the partial accumulator to the
+   C planes between KC chunks is a plain limb copy in both directions,
+   so tiling preserves bit-identity.  What tiling buys is locality: the
+   inner loop walks a row of B unit-stride across the lanes (the untiled
+   loop walked B with column stride) and reuses each A element NR times
+   and each B panel across every row of the block.  Every other
+   dot-shaped kernel (clear or load, ascending multiply-accumulates,
+   store) is one [mac_lanes] per output element or lane group too, so
+   the engines decide how lanes run — the double double engine keeps
+   them in registers — and this module never tests a limb width.
 
    The solvers stage once per factorization or solve, as the paper's
    device does: the blocked QR state ([Qr] below) stages A into limb
@@ -80,6 +85,11 @@ module Make (K : Scalar.S) = struct
   let available () =
     !enabled && K.flat_ok && (not K.is_complex) && Option.is_some plan
 
+  (* Each block builds one context, sized for its widest [mac_lanes]
+     call, and reuses it for every element.  Blocks run in parallel, so
+     contexts are never shared between them; contexts kept per domain
+     and reused across blocks were measured slower (the 4d products'
+     kernel spans grew by a quarter). *)
   let the_plan () =
     match plan with
     | Some p -> p
@@ -156,63 +166,41 @@ module Make (K : Scalar.S) = struct
      executed as the tiled microkernel described in the header: KC
      chunks outermost (the B panel of a chunk stays cache resident
      across every row of the block), then rows, then NR-lane column
-     tiles, each lane accumulating in its own context.  Partial sums
-     spill to the C planes between chunks — an exact limb copy. ---- *)
+     tiles, one [mac_lanes] each.  Partial sums spill to the C planes
+     between chunks — an exact limb copy. ---- *)
 
   let matmul_block ~threads (a : planes) (b : planes) (c : planes) blk =
     let total = c.rows * c.cols in
     let lo = blk * threads in
     let hi = min total (lo + threads) in
     if lo < hi then begin
-      let { Nd_flat.make_ctx; clear; load; mul_add; store; _ } = the_plan () in
-      let ap = a.p and bp = b.p and cp = c.p in
+      let { Nd_flat.make_ctx; mac_lanes; _ } = the_plan () in
+      let ctx = make_ctx ~lanes:nr_tile () in
       let inner = a.cols and cols_o = c.cols and bcols = b.cols in
-      let ctxs = Array.init nr_tile (fun _ -> make_ctx ()) in
-      if inner = 0 then begin
-        (* Degenerate product: every output is the empty sum. *)
-        let ctx = ctxs.(0) in
-        for idx = lo to hi - 1 do
-          clear ctx;
-          store ctx cp idx
+      let row_lo = lo / cols_o and row_hi = (hi - 1) / cols_o in
+      (* An empty inner dimension still runs one (empty) chunk: every
+         output is the cleared empty sum. *)
+      let chunks = max 1 ((inner + kc_tile - 1) / kc_tile) in
+      for ch = 0 to chunks - 1 do
+        let k0 = ch * kc_tile in
+        let len = min kc_tile (inner - k0) in
+        for i = row_lo to row_hi do
+          let jstart = if i = row_lo then lo mod cols_o else 0 in
+          let jstop =
+            if i = row_hi then ((hi - 1) mod cols_o) + 1 else cols_o
+          in
+          let j0 = ref jstart in
+          while !j0 < jstop do
+            let lanes = min nr_tile (jstop - !j0) in
+            mac_lanes ctx
+              a.p ((i * inner) + k0) 1
+              b.p ((k0 * bcols) + !j0) bcols
+              c.p ((i * cols_o) + !j0)
+              ~lanes ~len ~load:(k0 > 0);
+            j0 := !j0 + lanes
+          done
         done
-      end
-      else begin
-        let row_lo = lo / cols_o and row_hi = (hi - 1) / cols_o in
-        let k0 = ref 0 in
-        while !k0 < inner do
-          let khi = min inner (!k0 + kc_tile) in
-          for i = row_lo to row_hi do
-            let jstart = if i = row_lo then lo mod cols_o else 0 in
-            let jstop =
-              if i = row_hi then ((hi - 1) mod cols_o) + 1 else cols_o
-            in
-            let abase = i * inner and cbase = i * cols_o in
-            let j0 = ref jstart in
-            while !j0 < jstop do
-              let nl = min nr_tile (jstop - !j0) in
-              if !k0 = 0 then
-                for l = 0 to nl - 1 do
-                  clear (Array.unsafe_get ctxs l)
-                done
-              else
-                for l = 0 to nl - 1 do
-                  load (Array.unsafe_get ctxs l) cp (cbase + !j0 + l)
-                done;
-              for k = !k0 to khi - 1 do
-                let ai = abase + k and bbase = (k * bcols) + !j0 in
-                for l = 0 to nl - 1 do
-                  mul_add (Array.unsafe_get ctxs l) ap ai bp (bbase + l)
-                done
-              done;
-              for l = 0 to nl - 1 do
-                store (Array.unsafe_get ctxs l) cp (cbase + !j0 + l)
-              done;
-              j0 := !j0 + nl
-            done
-          done;
-          k0 := khi
-        done
-      end
+      done
     end
 
   (* ---- Tiled back substitution, stage 2.  [vp] is the full dim-by-dim
@@ -223,16 +211,12 @@ module Make (K : Scalar.S) = struct
   (* x_i := U_i^{-1} b_i: row r of the tile at [r0] dots the inverse row
      (upper triangular, columns r..n-1) with the right-hand side tile. *)
   let bs_xi_block ~dim ~r0 ~n (vp : planes) (bdp : planes) (xp : planes) =
-    let { Nd_flat.make_ctx; clear; mul_add; store; _ } = the_plan () in
+    let { Nd_flat.make_ctx; mac_lanes; _ } = the_plan () in
     let ctx = make_ctx () in
-    let v = vp.p and bd = bdp.p and x = xp.p in
     for r = 0 to n - 1 do
-      clear ctx;
-      let row = (r0 + r) * dim in
-      for c = r to n - 1 do
-        mul_add ctx v (row + r0 + c) bd (r0 + c)
-      done;
-      store ctx x (r0 + r)
+      let d = r0 + r in
+      mac_lanes ctx vp.p ((d * dim) + d) 1 bdp.p d 1 xp.p d ~lanes:1
+        ~len:(n - r) ~load:false
     done
 
   (* b_j := b_j - A_{j,i} x_i: block [rj] subtracts the full n-by-n tile
@@ -273,22 +257,20 @@ module Make (K : Scalar.S) = struct
 
   (* out[oidx] := sum_i a[i] * b[i] over n vector elements. *)
   let dot ~n (a : planes) (b : planes) (out : planes) oidx =
-    let { Nd_flat.make_ctx; clear; mul_add; store; _ } = the_plan () in
+    let { Nd_flat.make_ctx; mac_lanes; _ } = the_plan () in
     let ctx = make_ctx () in
-    clear ctx;
-    for i = 0 to n - 1 do
-      mul_add ctx a.p i b.p i
-    done;
-    store ctx out.p oidx
+    mac_lanes ctx a.p 0 1 b.p 0 1 out.p oidx ~lanes:1 ~len:n ~load:false
 
-  (* y[i] := y[i] + alpha * x[i]; [alpha] is a staged single element. *)
+  (* y[i] := y[i] + alpha * x[i]; [alpha] is a staged single element.
+     NR elements per [mac_lanes], each lane one multiply-accumulate. *)
   let axpy ~n (alpha : planes) (x : planes) (y : planes) =
-    let { Nd_flat.make_ctx; load; mul_add; store; _ } = the_plan () in
-    let ctx = make_ctx () in
-    for i = 0 to n - 1 do
-      load ctx y.p i;
-      mul_add ctx alpha.p 0 x.p i;
-      store ctx y.p i
+    let { Nd_flat.make_ctx; mac_lanes; _ } = the_plan () in
+    let ctx = make_ctx ~lanes:nr_tile () in
+    let i = ref 0 in
+    while !i < n do
+      let lanes = min nr_tile (n - !i) in
+      mac_lanes ctx alpha.p 0 0 x.p !i 0 y.p !i ~lanes ~len:1 ~load:true;
+      i := !i + lanes
     done
 
   (* ---- The iterative engines' kernels: matrix-vector products (one
@@ -299,34 +281,25 @@ module Make (K : Scalar.S) = struct
 
   (* y[i] := sum_k a[i, k] * x[k] for rows [blk*threads, (blk+1)*threads). *)
   let gemv_block ~threads (a : planes) (x : planes) (y : planes) blk =
-    let { Nd_flat.make_ctx; clear; mul_add; store; _ } = the_plan () in
+    let { Nd_flat.make_ctx; mac_lanes; _ } = the_plan () in
     let ctx = make_ctx () in
     let m = a.rows and n = a.cols in
     let lo = blk * threads in
     let hi = min m (lo + threads) in
     for i = lo to hi - 1 do
-      clear ctx;
-      let base = i * n in
-      for k = 0 to n - 1 do
-        mul_add ctx a.p (base + k) x.p k
-      done;
-      store ctx y.p i
+      mac_lanes ctx a.p (i * n) 1 x.p 0 1 y.p i ~lanes:1 ~len:n ~load:false
     done
 
   (* y[j] := sum_i a[i, j] * x[i] — the transposed product walks each
      column with the row pitch, the strided access of the cost model. *)
   let gemv_t_block ~threads (a : planes) (x : planes) (y : planes) blk =
-    let { Nd_flat.make_ctx; clear; mul_add; store; _ } = the_plan () in
+    let { Nd_flat.make_ctx; mac_lanes; _ } = the_plan () in
     let ctx = make_ctx () in
     let m = a.rows and n = a.cols in
     let lo = blk * threads in
     let hi = min n (lo + threads) in
     for j = lo to hi - 1 do
-      clear ctx;
-      for i = 0 to m - 1 do
-        mul_add ctx a.p ((i * n) + j) x.p i
-      done;
-      store ctx y.p j
+      mac_lanes ctx a.p j n x.p 0 1 y.p j ~lanes:1 ~len:m ~load:false
     done
 
   (* y[i] := x[i] + alpha * y[i] (the CG direction update p := r + beta p
@@ -758,18 +731,15 @@ module Make (K : Scalar.S) = struct
       let len = t.mrows - c in
       match t.repr with
       | Flat f ->
-          let { Nd_flat.make_ctx; clear; mul_add; store; _ } = the_plan () in
           for i = 0 to len - 1 do
             copy_el ~src:f.rp (((c + i) * t.ncols) + c) ~dst:f.vp i
           done;
           (* ||v||^2 as K.norm2 x = x * x accumulations (real scalars). *)
+          let { Nd_flat.make_ctx; mac_lanes; _ } = the_plan () in
           let ctx = make_ctx () in
           let norm2 () =
-            clear ctx;
-            for i = 0 to len - 1 do
-              mul_add ctx f.vp i f.vp i
-            done;
-            store ctx f.tmpp 0;
+            mac_lanes ctx f.vp 0 1 f.vp 0 1 f.tmpp 0 ~lanes:1 ~len
+              ~load:false;
             K.re (read_el f.tmpp 0)
           in
           let sigma = K.R.sqrt (norm2 ()) in
@@ -824,15 +794,12 @@ module Make (K : Scalar.S) = struct
       if blk < t.tile - l then
         match t.repr with
         | Flat f ->
-            let { Nd_flat.make_ctx; clear; mul_add; mul_set; store; _ } =
+            let { Nd_flat.make_ctx; mac_lanes; mul_set; store; _ } =
               the_plan ()
             in
             let ctx = make_ctx () in
-            clear ctx;
-            for i = 0 to len - 1 do
-              mul_add ctx f.vp i f.rp (((c + i) * t.ncols) + j)
-            done;
-            store ctx f.wrowp blk;
+            mac_lanes ctx f.vp 0 1 f.rp ((c * t.ncols) + j) t.ncols
+              f.wrowp blk ~lanes:1 ~len ~load:false;
             mul_set ctx f.wrowp blk f.betap l;
             store ctx f.wrowp blk
         | Boxed bx ->
@@ -875,13 +842,10 @@ module Make (K : Scalar.S) = struct
       if blk < l then
         match t.repr with
         | Flat f ->
-            let { Nd_flat.make_ctx; clear; mul_add; store; _ } = the_plan () in
+            let { Nd_flat.make_ctx; mac_lanes; _ } = the_plan () in
             let ctx = make_ctx () in
-            clear ctx;
-            for i = 0 to t.rows - 1 do
-              mul_add ctx f.yp ((i * tile) + blk) f.yp ((i * tile) + l)
-            done;
-            store ctx f.up blk
+            mac_lanes ctx f.yp blk tile f.yp l tile f.up blk ~lanes:1
+              ~len:t.rows ~load:false
         | Boxed bx ->
             let s = ref K.zero in
             for i = 0 to t.rows - 1 do
@@ -899,17 +863,16 @@ module Make (K : Scalar.S) = struct
       let hi = min t.rows (lo + tile) in
       match t.repr with
       | Flat f ->
-          let { Nd_flat.make_ctx; load; mul_add; mul_set; store; _ } =
+          let { Nd_flat.make_ctx; mac_lanes; mul_set; store; _ } =
             the_plan ()
           in
           let ctx = make_ctx () in
           for i = lo to hi - 1 do
             let il = (i * tile) + l in
-            load ctx f.yp il;
-            for j = 0 to l - 1 do
-              mul_add ctx f.wp ((i * tile) + j) f.up j
-            done;
-            store ctx f.wp il;
+            (* Y[i, l] enters as the accumulator's start value. *)
+            copy_el ~src:f.yp il ~dst:f.wp il;
+            mac_lanes ctx f.wp (i * tile) 1 f.up 0 1 f.wp il ~lanes:1
+              ~len:l ~load:true;
             mul_set ctx f.wp il f.nbetap l;
             store ctx f.wp il
           done
@@ -1090,13 +1053,10 @@ module Make (K : Scalar.S) = struct
       if blk < tile then
         match t.repr with
         | Flat f ->
-            let { Nd_flat.make_ctx; clear; mul_add; store; _ } = the_plan () in
+            let { Nd_flat.make_ctx; mac_lanes; _ } = the_plan () in
             let ctx = make_ctx () in
-            clear ctx;
-            for i = 0 to t.rows - 1 do
-              mul_add ctx f.wp ((i * tile) + blk) f.bp (c0 + i)
-            done;
-            store ctx f.up blk
+            mac_lanes ctx f.wp blk tile f.bp c0 1 f.up blk ~lanes:1
+              ~len:t.rows ~load:false
         | Boxed bx ->
             let sum = ref K.zero in
             for i = 0 to t.rows - 1 do
@@ -1114,16 +1074,13 @@ module Make (K : Scalar.S) = struct
       let hi = min t.rows (lo + tile) in
       match t.repr with
       | Flat f ->
-          let { Nd_flat.make_ctx; clear; load; add; mul_add; store; _ } =
+          let { Nd_flat.make_ctx; load; add; store; mac_lanes; _ } =
             the_plan ()
           in
           let ctx = make_ctx () in
           for i = lo to hi - 1 do
-            clear ctx;
-            for j = 0 to tile - 1 do
-              mul_add ctx f.yp ((i * tile) + j) f.up j
-            done;
-            store ctx f.tmpp i;
+            mac_lanes ctx f.yp (i * tile) 1 f.up 0 1 f.tmpp i ~lanes:1
+              ~len:tile ~load:false;
             load ctx f.bp (c0 + i);
             add ctx f.tmpp i;
             store ctx f.bp (c0 + i)

@@ -1,9 +1,10 @@
 (** Allocation-free limb-planar ("flat") kernels on staggered planes.
 
-    Executes the simulator's hot kernels directly on the staggered
-    [float array] planes, through the limb-generic
-    [Multidouble.Nd_flat.plan] record resolved once per scalar from its
-    limb count — the single dispatch point.  The plan's engines replay
+    Executes the simulator's hot kernels directly on staggered limb
+    planes (flat [Bigarray] float64 storage, [Multidouble.Nd_flat.fa]),
+    through the limb-generic [Multidouble.Nd_flat.plan] record resolved
+    once per scalar from its limb count — the single dispatch point.
+    Every dot-shaped kernel runs on the plan's fused [mac_lanes].  The plan's engines replay
     the boxed operation sequences floating point operation for floating
     point operation, so the flat kernels are limb for limb identical to
     the generic [Scalar.S] path at every supported width (double double,

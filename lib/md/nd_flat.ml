@@ -24,9 +24,16 @@
    results agree limb for limb.
 
    - m = 2 runs the unrolled QDlib sequences of [Double_double]
-     (two_sum / quick_two_sum ieee_add, fma-based two_prod).
+     (two_sum / quick_two_sum ieee_add, fma-based two_prod).  Its fused
+     multi-lane multiply-accumulate [mac_lanes] is straight-line code
+     with the lane accumulators in local unboxed floats, two lanes per
+     pass, and the limb-plane pointers hoisted out of the loop: no
+     closure call, context traffic or allocation per multiply-add.
    - m = 4 runs the QDlib sequences of [Quad_double] (merge by
-     decreasing magnitude through a sliding window, three_sum towers).
+     decreasing magnitude through a sliding window, three_sum towers);
+     its [mac_lanes], like those of the two engines below, steps one
+     context per lane through its own [mul_add] — at these widths the
+     arithmetic, not the call, is the cost.
    - m = 8 runs a specialized engine for octo double: the same
      [Expansion.Pre] sequences as the generic replay below, but
      monomorphic and straight-line — the 36 partial products of the
@@ -109,6 +116,7 @@ type ctx = {
   mutable mi : int;   (* merge cursor into the first operand *)
   mutable mj : int;   (* merge cursor into the second operand *)
   mutable mk : int;   (* next output slot of a merge or emission *)
+  more : ctx array;   (* lanes 1.. of [mac_lanes]; lane 0 is this ctx *)
 }
 
 (* The first-class kernel-ops record.  All operations read operands
@@ -122,11 +130,24 @@ type ctx = {
      mul_add  : acc := acc + a[ia] * b[ib]
      sub_from : p[i] := p[i] - acc
 
+   plus the fused multi-lane multiply-accumulate every dot-shaped
+   kernel runs on, [mac_lanes ctx a a0 astep b b0 bstep c c0 ~lanes
+   ~len ~load]: lane l < lanes does exactly
+
+     clear (or load c[c0+l]);
+     mul_add a[a0 + k*astep] b[b0 + k*bstep + l]   for k = 0 .. len-1;
+     store c[c0+l]
+
+   A ctx made with [make_ctx ~lanes:n ()] runs up to n lanes: the
+   engines that step a context per lane allocate n - 1 extra
+   accumulators ([more]); the double double engine keeps the lane
+   accumulators in registers and allocates none.
+
    Argument order mirrors the generic kernel bodies ([K.add acc x],
    [K.sub x acc]) so ties in magnitude merges break identically. *)
 type plan = {
   limbs : int;
-  make_ctx : unit -> ctx;
+  make_ctx : ?lanes:int -> unit -> ctx;
   clear : ctx -> unit;
   load : ctx -> planes -> int -> unit;
   store : ctx -> planes -> int -> unit;
@@ -134,16 +155,57 @@ type plan = {
   mul_set : ctx -> planes -> int -> planes -> int -> unit;
   mul_add : ctx -> planes -> int -> planes -> int -> unit;
   sub_from : ctx -> planes -> int -> unit;
+  mac_lanes :
+    ctx ->
+    planes -> int -> int ->
+    planes -> int -> int ->
+    planes -> int ->
+    lanes:int -> len:int -> load:bool -> unit;
 }
 
 let empty = [||]
+
+(* [make_ctx ~lanes] for the engines that step one context per lane,
+   from [one] that builds a single context.  Only [acc] outlives an
+   operation — every other field is scratch written before it is read
+   within one call — so the extra lanes get their own accumulator and
+   share the rest of lane 0's scratch [c]. *)
+let with_lanes ~lanes c =
+  if lanes <= 1 then c
+  else
+    let lane _ = { c with acc = Array.make (Array.length c.acc) 0.0 } in
+    { c with more = Array.init (lanes - 1) lane }
+
+(* [mac_lanes] over per-lane contexts: all lanes start, then the k loop
+   steps every lane, then all lanes store — the loop nest of the tiled
+   matrix product, with each engine's own [mul_add] as the step. *)
+let[@inline] ctx_lanes ~clear ~load ~store ~mul_add ctx a a0 astep b b0 bstep
+    c c0 ~lanes ~len ~load:from_c =
+  if lanes > 1 + Array.length ctx.more then
+    invalid_arg
+      (Printf.sprintf "Nd_flat.mac_lanes: %d lanes on a %d-lane context" lanes
+         (1 + Array.length ctx.more));
+  let lane l = if l = 0 then ctx else Array.unsafe_get ctx.more (l - 1) in
+  for l = 0 to lanes - 1 do
+    if from_c then load (lane l) c (c0 + l) else clear (lane l)
+  done;
+  for k = 0 to len - 1 do
+    let ai = a0 + (k * astep) and bk = b0 + (k * bstep) in
+    for l = 0 to lanes - 1 do
+      mul_add (lane l) a ai b (bk + l)
+    done
+  done;
+  for l = 0 to lanes - 1 do
+    store (lane l) c (c0 + l)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* m = 2: the unrolled QDlib sequences of [Double_double]              *)
 (* ------------------------------------------------------------------ *)
 
 module Dd = struct
-  let make_ctx () =
+  (* [mac_lanes] needs no context, so one serves any number of lanes. *)
+  let make_ctx ?lanes:_ () =
     {
       acc = Array.make 2 0.0;
       tmp = empty;
@@ -157,6 +219,7 @@ module Dd = struct
       mi = 0;
       mj = 0;
       mk = 0;
+      more = [||];
     }
 
   let[@inline] clear c =
@@ -243,8 +306,110 @@ module Dd = struct
     set p 0 i hi;
     set p 1 i lo
 
+  (* One plane of an operand and one word of a plane, for kernels that
+     hoist the plane pointers out of their loops (checked exactly when
+     {!get}/{!set} are). *)
+  let[@inline] plane (p : planes) pl =
+    if bounds_checked then Array.get p pl else Array.unsafe_get p pl
+
+  let[@inline] rd (p : fa) i =
+    if bounds_checked then Bigarray.Array1.get p i
+    else Bigarray.Array1.unsafe_get p i
+
+  let[@inline] wr (p : fa) i v =
+    if bounds_checked then Bigarray.Array1.set p i v
+    else Bigarray.Array1.unsafe_set p i v
+
+  (* Lanes l and, when [two], l + 1 of [mac_lanes] (b0, c0 already
+     offset to lane l), accumulating in local unboxed floats.  Each lane
+     step is [mul_add] above inlined: the product of a[k] (x, xl) and
+     b[k] (y, yl), then [add_parts] into the lane's (hi, lo).  Two
+     independent chains per k step keep the floating point units busy;
+     more lanes measured no faster. *)
+  let mac_pair ~two ah al a0 astep bh bl b0 bstep ch cl c0 len from_c =
+    let hi0 = ref 0.0 and lo0 = ref 0.0 in
+    let hi1 = ref 0.0 and lo1 = ref 0.0 in
+    if from_c then begin
+      hi0 := rd ch c0;
+      lo0 := rd cl c0;
+      if two then begin
+        hi1 := rd ch (c0 + 1);
+        lo1 := rd cl (c0 + 1)
+      end
+    end;
+    for k = 0 to len - 1 do
+      let ai = a0 + (k * astep) and bi = b0 + (k * bstep) in
+      let x = rd ah ai and xl = rd al ai in
+      (let y = rd bh bi and yl = rd bl bi in
+       let p = x *. y in
+       let e = Float.fma x y (-.p) in
+       let e = e +. ((x *. yl) +. (xl *. y)) in
+       let bhi = p +. e in
+       let blo = e -. (bhi -. p) in
+       let ahi = !hi0 and alo = !lo0 in
+       let s = ahi +. bhi in
+       let bb = s -. ahi in
+       let e = (ahi -. (s -. bb)) +. (bhi -. bb) in
+       let t1 = alo +. blo in
+       let bb2 = t1 -. alo in
+       let t2 = (alo -. (t1 -. bb2)) +. (blo -. bb2) in
+       let e = e +. t1 in
+       let s' = s +. e in
+       let e' = e -. (s' -. s) in
+       let e' = e' +. t2 in
+       let h = s' +. e' in
+       hi0 := h;
+       lo0 := e' -. (h -. s'));
+      if two then begin
+        let bi = bi + 1 in
+        let y = rd bh bi and yl = rd bl bi in
+        let p = x *. y in
+        let e = Float.fma x y (-.p) in
+        let e = e +. ((x *. yl) +. (xl *. y)) in
+        let bhi = p +. e in
+        let blo = e -. (bhi -. p) in
+        let ahi = !hi1 and alo = !lo1 in
+        let s = ahi +. bhi in
+        let bb = s -. ahi in
+        let e = (ahi -. (s -. bb)) +. (bhi -. bb) in
+        let t1 = alo +. blo in
+        let bb2 = t1 -. alo in
+        let t2 = (alo -. (t1 -. bb2)) +. (blo -. bb2) in
+        let e = e +. t1 in
+        let s' = s +. e in
+        let e' = e -. (s' -. s) in
+        let e' = e' +. t2 in
+        let h = s' +. e' in
+        hi1 := h;
+        lo1 := e' -. (h -. s')
+      end
+    done;
+    wr ch c0 !hi0;
+    wr cl c0 !lo0;
+    if two then begin
+      wr ch (c0 + 1) !hi1;
+      wr cl (c0 + 1) !lo1
+    end
+
+  (* Lane pairs in turn: the plane pointers are hoisted once per call,
+     and a pair finishes (stores) before the next starts — the same
+     per-lane results as [ctx_lanes], as no lane reads what another
+     writes.  The context is not touched. *)
+  let mac_lanes _ctx (a : planes) a0 astep (b : planes) b0 bstep (c : planes)
+      c0 ~lanes ~len ~load:from_c =
+    let ah = plane a 0 and al = plane a 1 in
+    let bh = plane b 0 and bl = plane b 1 in
+    let ch = plane c 0 and cl = plane c 1 in
+    let l = ref 0 in
+    while !l < lanes do
+      mac_pair ~two:(!l + 1 < lanes) ah al a0 astep bh bl (b0 + !l) bstep ch cl
+        (c0 + !l) len from_c;
+      l := !l + 2
+    done
+
   let plan =
-    { limbs = 2; make_ctx; clear; load; store; add; mul_set; mul_add; sub_from }
+    { limbs = 2; make_ctx; clear; load; store; add; mul_set; mul_add; sub_from;
+      mac_lanes }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -252,21 +417,23 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Qd = struct
-  let make_ctx () =
-    {
-      acc = Array.make 4 0.0;
-      tmp = Array.make 4 0.0;
-      prod = Array.make 4 0.0;
-      nb = Array.make 4 0.0;
-      abuf = Array.make 4 0.0;
-      pbuf = empty;
-      rt = Array.make 5 0.0;
-      out = Array.make 4 0.0;
-      uv = Array.make 3 0.0;
-      mi = 0;
-      mj = 0;
-      mk = 0;
-    }
+  let make_ctx ?(lanes = 1) () =
+    with_lanes ~lanes
+      {
+        acc = Array.make 4 0.0;
+        tmp = Array.make 4 0.0;
+        prod = Array.make 4 0.0;
+        nb = Array.make 4 0.0;
+        abuf = Array.make 4 0.0;
+        pbuf = empty;
+        rt = Array.make 5 0.0;
+        out = Array.make 4 0.0;
+        uv = Array.make 3 0.0;
+        mi = 0;
+        mj = 0;
+        mk = 0;
+        more = [||];
+      }
 
   let[@inline] clear4 (s : float array) =
     s.(0) <- 0.0;
@@ -585,8 +752,13 @@ module Qd = struct
     sub4 c c.tmp c.acc;
     store4 c.tmp p i
 
+  let mac_lanes ctx a a0 astep b b0 bstep c c0 ~lanes ~len ~load:from_c =
+    ctx_lanes ~clear ~load ~store ~mul_add ctx a a0 astep b b0 bstep c c0
+      ~lanes ~len ~load:from_c
+
   let plan =
-    { limbs = 4; make_ctx; clear; load; store; add; mul_set; mul_add; sub_from }
+    { limbs = 4; make_ctx; clear; load; store; add; mul_set; mul_add; sub_from;
+      mac_lanes }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -607,21 +779,23 @@ module Od = struct
   (* m^2 + 2m - 1 at m = 8: 36 two_prod pairs + 7 guard products. *)
   let pcount8 = 79
 
-  let make_ctx () =
-    {
-      acc = Array.make 8 0.0;
-      tmp = Array.make 8 0.0;
-      prod = Array.make 8 0.0;
-      nb = Array.make 8 0.0;
-      abuf = Array.make 16 0.0;
-      pbuf = Array.make pcount8 0.0;
-      rt = Array.make pcount8 0.0;
-      out = Array.make 8 0.0;
-      uv = empty;
-      mi = 0;
-      mj = 0;
-      mk = 0;
-    }
+  let make_ctx ?(lanes = 1) () =
+    with_lanes ~lanes
+      {
+        acc = Array.make 8 0.0;
+        tmp = Array.make 8 0.0;
+        prod = Array.make 8 0.0;
+        nb = Array.make 8 0.0;
+        abuf = Array.make 16 0.0;
+        pbuf = Array.make pcount8 0.0;
+        rt = Array.make pcount8 0.0;
+        out = Array.make 8 0.0;
+        uv = empty;
+        mi = 0;
+        mj = 0;
+        mk = 0;
+        more = [||];
+      }
 
   let[@inline] clear c =
     let a = c.acc in
@@ -895,8 +1069,13 @@ module Od = struct
     add_arrays8 c c.tmp c.nb;
     store8 c.tmp p i
 
+  let mac_lanes ctx a a0 astep b b0 bstep c c0 ~lanes ~len ~load:from_c =
+    ctx_lanes ~clear ~load ~store ~mul_add ctx a a0 astep b b0 bstep c c0
+      ~lanes ~len ~load:from_c
+
   let plan =
-    { limbs = 8; make_ctx; clear; load; store; add; mul_set; mul_add; sub_from }
+    { limbs = 8; make_ctx; clear; load; store; add; mul_set; mul_add; sub_from;
+      mac_lanes }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -909,21 +1088,23 @@ module Gen = struct
      of order m. *)
   let pcount m = (m * m) + (2 * m) - 1
 
-  let make_ctx m () =
-    {
-      acc = Array.make m 0.0;
-      tmp = Array.make m 0.0;
-      prod = Array.make m 0.0;
-      nb = Array.make m 0.0;
-      abuf = Array.make (2 * m) 0.0;
-      pbuf = Array.make (pcount m) 0.0;
-      rt = empty;
-      out = Array.make m 0.0;
-      uv = Array.make 1 0.0;
-      mi = 0;
-      mj = 0;
-      mk = 0;
-    }
+  let make_ctx m ?(lanes = 1) () =
+    with_lanes ~lanes
+      {
+        acc = Array.make m 0.0;
+        tmp = Array.make m 0.0;
+        prod = Array.make m 0.0;
+        nb = Array.make m 0.0;
+        abuf = Array.make (2 * m) 0.0;
+        pbuf = Array.make (pcount m) 0.0;
+        rt = empty;
+        out = Array.make m 0.0;
+        uv = Array.make 1 0.0;
+        mi = 0;
+        mj = 0;
+        mk = 0;
+        more = [||];
+      }
 
   (* [renorm_into c buf n m passes] is [Renorm.renormalize ~passes ~m]
      over buf.(0 .. n-1), writing c.out; buf is clobbered.  Same
@@ -1076,6 +1257,13 @@ module Gen = struct
       mul_set = mul_set m;
       mul_add = mul_add m;
       sub_from = sub_from m;
+      (* A closure of the full arity, so the kernels' calls take the
+         direct path rather than one partial application per argument. *)
+      mac_lanes =
+        (fun ctx a a0 astep b b0 bstep c c0 ~lanes ~len ~load:from_c ->
+          ctx_lanes ~clear ~load:(load m) ~store:(store m)
+            ~mul_add:(mul_add m) ctx a a0 astep b b0 bstep c c0 ~lanes ~len
+            ~load:from_c);
     }
 end
 

@@ -10,7 +10,9 @@
     Every operation replays the exact floating point sequence of the
     boxed module registered for that limb count, so results are
     bit-identical limb for limb: [m = 2] runs the unrolled QDlib
-    double-double sequences, [m = 4] the QDlib quad-double sequences,
+    double-double sequences (its fused multiply-accumulate
+    {!field:plan.mac_lanes} with the lane accumulators in registers),
+    [m = 4] the QDlib quad-double sequences,
     [m = 8] a specialized straight-line octo double engine (the
     [Expansion.Pre] sequences hand-unrolled), and every other [m >= 3] an
     allocation-free replay of [Expansion.Pre] (merge + renormalize
@@ -50,8 +52,10 @@ val set : planes -> int -> int -> float -> unit
 
 type ctx
 (** Mutable per-block scratch.  Allocate one per launch block (or test
-    loop) with {!field:plan.make_ctx} and reuse it across elements; a
-    [ctx] must not be shared between domains. *)
+    loop) with {!field:plan.make_ctx}, sized with [~lanes] (default 1)
+    for the widest {!field:plan.mac_lanes} call it will serve, and
+    reuse it across elements; a [ctx] must not be shared between
+    domains. *)
 
 (** The kernel-ops record resolved once per limb count.  All operations
     read operands from / write results to staggered planes, with the
@@ -64,10 +68,23 @@ type ctx
     - [mul_set c a ia b ib] — acc := a\[ia\] * b\[ib\]
     - [mul_add c a ia b ib] — acc := acc + a\[ia\] * b\[ib\]
       (boxed [K.add acc (K.mul a b)])
-    - [sub_from c p i] — p\[i\] := p\[i\] - acc (boxed [K.sub x acc]) *)
+    - [sub_from c p i] — p\[i\] := p\[i\] - acc (boxed [K.sub x acc])
+    - [mac_lanes ctx a a0 astep b b0 bstep c c0 ~lanes ~len ~load] —
+      the fused multiply-accumulate of every dot-shaped kernel: each
+      lane [l < lanes] performs exactly [clear] (or, with [~load:true],
+      [load c (c0+l)]), then [mul_add a (a0 + k*astep) b (b0 + k*bstep
+      + l)] for [k = 0 .. len-1] ascending, then [store c (c0+l)].  The
+      lanes share the [a] element of each step and walk [b] and [c]
+      unit-stride.  Requires a [ctx] made with at least [lanes] lanes
+      ([make_ctx ~lanes ()]; [Invalid_argument] otherwise on the engines
+      that use them) and that the [c] words written are not among the
+      [a]/[b] words read.  The double double engine keeps the lane
+      accumulators in registers; the others run one context per lane
+      through their own [mul_add].  The single-element operations use
+      lane 0's context. *)
 type plan = {
   limbs : int;
-  make_ctx : unit -> ctx;
+  make_ctx : ?lanes:int -> unit -> ctx;
   clear : ctx -> unit;
   load : ctx -> planes -> int -> unit;
   store : ctx -> planes -> int -> unit;
@@ -75,6 +92,12 @@ type plan = {
   mul_set : ctx -> planes -> int -> planes -> int -> unit;
   mul_add : ctx -> planes -> int -> planes -> int -> unit;
   sub_from : ctx -> planes -> int -> unit;
+  mac_lanes :
+    ctx ->
+    planes -> int -> int ->
+    planes -> int -> int ->
+    planes -> int ->
+    lanes:int -> len:int -> load:bool -> unit;
 }
 
 val supported : int -> bool

@@ -302,6 +302,96 @@ module Flat_props (S : Md_sig.S) = struct
     fp.Nd_flat.store ctx out 0;
     Array.init m (fun pl -> Nd_flat.get out pl 0)
 
+  (* [mac_lanes] against a reference built from the single-element
+     operations, one lane at a time with a fresh context each: clear or
+     load, ascending mul_add, store.  Operands mix full-precision
+     values, tied sparse values and raw adversarial limbs (signed zeros,
+     infinities, NaN, subnormals), each drawn from a small pool with
+     either sign so x lands beside -x; shapes cover 1-8 lanes, chunk
+     lengths 0 to twice the matrix product's KC for this width, both
+     start modes, offsets and strides other than 1.  Every word of the
+     output planes must agree bit for bit, the untouched ones included. *)
+  let kc = max 16 (32768 / (2 * 8 * m * 8))
+
+  let gen_limbs : float array Gen.t =
+    let open Gen in
+    let raw =
+      oneofl
+        [ 0.0; -0.0; Float.infinity; Float.neg_infinity; Float.nan;
+          0x1p-1074; -0x1p-1074; 0x1.8p-1050; 1.0; -1.0 ]
+    in
+    frequency
+      [
+        (4, map S.to_limbs gen_val);
+        (2, map S.to_limbs gen_tied);
+        (2, array_size (return m) raw);
+      ]
+
+  type mac_case = {
+    lanes : int;
+    len : int;
+    from_c : bool;
+    a0 : int;
+    astep : int;
+    b0 : int;
+    bstep : int;
+    c0 : int;
+    av : float array array;
+    bv : float array array;
+    cv : float array array;
+  }
+
+  let gen_mac : mac_case Gen.t =
+    let open Gen in
+    let* lanes = int_range 1 8 in
+    let* len = frequency [ (1, return 0); (4, int_range 1 (2 * kc)) ] in
+    let* from_c = bool in
+    let* a0 = int_range 0 3 and* astep = int_range 1 3 in
+    let* b0 = int_range 0 3 and* bstep = int_range 1 (lanes + 2) in
+    let* c0 = int_range 0 3 in
+    let* pool = array_size (int_range 1 6) gen_limbs in
+    let el =
+      map2
+        (fun i neg ->
+          let x = pool.(i mod Array.length pool) in
+          if neg then Array.map Float.neg x else x)
+        nat bool
+    in
+    let na = a0 + (max 0 (len - 1) * astep) + 1 in
+    let nb = b0 + (max 0 (len - 1) * bstep) + lanes in
+    let* av = array_size (return na) el in
+    let* bv = array_size (return nb) el in
+    let* cv = array_size (return (c0 + lanes + 1)) el in
+    return { lanes; len; from_c; a0; astep; b0; bstep; c0; av; bv; cv }
+
+  let stage_limbs (v : float array array) =
+    let p = Nd_flat.make_planes ~limbs:m (Array.length v) in
+    Array.iteri (fun i l -> Array.iteri (fun pl x -> Nd_flat.set p pl i x) l) v;
+    p
+
+  let plane_words p n =
+    Array.init (m * n) (fun w -> Nd_flat.get p (w / n) (w mod n))
+
+  let mac_law t =
+    let a = stage_limbs t.av and b = stage_limbs t.bv in
+    let c_got = stage_limbs t.cv and c_ref = stage_limbs t.cv in
+    for l = 0 to t.lanes - 1 do
+      let ctx = fp.make_ctx () in
+      if t.from_c then fp.load ctx c_ref (t.c0 + l) else fp.clear ctx;
+      for k = 0 to t.len - 1 do
+        fp.mul_add ctx a (t.a0 + (k * t.astep)) b (t.b0 + (k * t.bstep) + l)
+      done;
+      fp.store ctx c_ref (t.c0 + l)
+    done;
+    fp.mac_lanes
+      (fp.make_ctx ~lanes:t.lanes ())
+      a t.a0 t.astep b t.b0 t.bstep c_got t.c0 ~lanes:t.lanes ~len:t.len
+      ~load:t.from_c;
+    let n = Array.length t.cv in
+    bits_eq (plane_words c_ref n) (plane_words c_got n)
+    || Test.fail_reportf "mac_lanes: %d lanes, len %d, load %b differ"
+         t.lanes t.len t.from_c
+
   let check_op name boxed flat_limbs =
     if not (bits_eq (S.to_limbs boxed) flat_limbs) then
       Test.fail_reportf "%s: flat limbs differ from boxed %s" name
@@ -310,7 +400,7 @@ module Flat_props (S : Md_sig.S) = struct
 
   let suite name =
     let { Nd_flat.make_ctx; clear; load; store = _; add; mul_set; mul_add;
-          sub_from; limbs = _ } = fp
+          sub_from; limbs = _; mac_lanes = _ } = fp
     in
     ( name ^ " flat bit-identity",
       [
@@ -353,6 +443,7 @@ module Flat_props (S : Md_sig.S) = struct
             sub_from ctx xs 0;
             let got = Array.init m (fun pl -> Nd_flat.get xs pl 0) in
             check_op "sub_from" (S.sub x c) got);
+        to_alco ~count:100 "mac_lanes = per-lane reference" gen_mac mac_law;
         to_alco ~count:100 "dot chain"
           (Gen.pair
              (Gen.array_size (Gen.int_range 1 17) gen_val)
